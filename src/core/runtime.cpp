@@ -170,7 +170,6 @@ ClusterRuntime::ClusterRuntime(RuntimeConfig config, sim::Engine* shared_engine)
                   nconf.nic_bw(link), nconf.uplink_bw(link),
                   nconf.base_latency(link), nconf.per_hop_latency);
     fabric_ = std::make_unique<net::Fabric>(engine_, std::move(topo));
-    fabric_->set_incremental(nconf.incremental);
     fabric_->set_congestion_threshold(nconf.congestion_threshold);
     fabric_->set_recorder(recorder_.get());
     if (active_sink_ != &null_sink_) {
@@ -190,8 +189,7 @@ ClusterRuntime::ClusterRuntime(RuntimeConfig config, sim::Engine* shared_engine)
   // register_policies is idempotent: "hier" enters the registry once per
   // process, whichever runtime constructs first.
   hier::register_policies();
-  scheduler_ =
-      make_policy(config_.hier.enabled ? "hier" : config_.sched.policy);
+  scheduler_ = make_policy(config_.sched.policy);
   subscribe_control_types();
 
   if (config_.prof.enabled) {
@@ -1098,6 +1096,13 @@ void ClusterRuntime::schedule_policy_tick() {
   policy_event_ = engine_.after(period, [this] { policy_tick(); });
 }
 
+void ClusterRuntime::resolve_policy_now() {
+  if (!config_.drom_active() || done_) return;
+  engine_.cancel(policy_event_);
+  policy_event_ = sim::kInvalidEvent;
+  policy_tick();
+}
+
 void ClusterRuntime::policy_tick() {
   if (done_) return;
   PROF_SCOPE("core.policy_tick");
@@ -1395,11 +1400,7 @@ void ClusterRuntime::crash_worker(WorkerId w) {
 
   // 6. Fresh policy solve over the reduced offloading graph, without
   // waiting for the next periodic tick.
-  if (config_.drom_active() && !done_) {
-    engine_.cancel(policy_event_);
-    policy_event_ = sim::kInvalidEvent;
-    policy_tick();
-  }
+  resolve_policy_now();
 }
 
 // --- failure detection / graceful degradation (tlb::resil) --------------------
@@ -1679,11 +1680,7 @@ void ClusterRuntime::suspect_worker(WorkerId w) {
 
   // Immediate policy re-solve over the usable workers, then let every node
   // pick up the re-queued work.
-  if (config_.drom_active() && !done_) {
-    engine_.cancel(policy_event_);
-    policy_event_ = sim::kInvalidEvent;
-    policy_tick();
-  }
+  resolve_policy_now();
   for (int n = 0; n < topology_->node_count(); ++n) kick_node(n);
 }
 
@@ -1701,16 +1698,35 @@ void ClusterRuntime::probe_worker(WorkerId w) {
     detectors_[static_cast<std::size_t>(w)].reset();
     m_.quarantine_readmissions->inc();
     mark_trace("readmitted worker " + std::to_string(w));
-    if (config_.drom_active() && !done_) {
-      engine_.cancel(policy_event_);
-      policy_event_ = sim::kInvalidEvent;
-      policy_tick();
-    }
+    resolve_policy_now();
     return;
   }
   // Still silent: extend the quarantine with a longer (capped) cooling.
   const sim::SimTime next = quarantine_->extend(w, engine_.now());
   engine_.at(next, [this, w] { probe_worker(w); });
+}
+
+WorkerId ClusterRuntime::add_helper(int apprank, int node) {
+  expander_.graph.add_edge(apprank, node);
+  const WorkerId w = topology_->add_worker(apprank, node);
+  const vmpi::RankId rank = ctrl_comm_->add_rank(node);
+  (void)rank;
+  assert(rank == w && "control-plane ranks mirror worker ids");
+  talp_->add_worker();
+  workers_.emplace_back();
+  alive_.push_back(1);
+  retired_.push_back(0);
+  suspected_.push_back(0);
+  last_heartbeat_.push_back(-1.0);
+  crashed_at_.push_back(-1.0);
+  if (!busy_smoothed_.empty()) busy_smoothed_.push_back(0.0);
+  if (resil_active()) {
+    detectors_.emplace_back(config_.resil.phi_window, config_.resil.phi_min_std);
+    quarantine_->add_worker();
+    engine_.after(config_.resil.heartbeat_period,
+                  [this, w] { send_heartbeat(w); });
+  }
+  return w;
 }
 
 void ClusterRuntime::maybe_rewire(int apprank) {
@@ -1737,27 +1753,7 @@ void ClusterRuntime::maybe_rewire(int apprank) {
     return;
   }
 
-  // Thread the new helper through every layer: graph edge, topology slot,
-  // control-plane rank, TALP/quarantine/detector state, runtime vectors.
-  expander_.graph.add_edge(apprank, node);
-  const WorkerId w = topology_->add_worker(apprank, node);
-  const vmpi::RankId rank = ctrl_comm_->add_rank(node);
-  (void)rank;
-  assert(rank == w && "control-plane ranks mirror worker ids");
-  talp_->add_worker();
-  workers_.emplace_back();
-  alive_.push_back(1);
-  retired_.push_back(0);
-  suspected_.push_back(0);
-  last_heartbeat_.push_back(-1.0);
-  crashed_at_.push_back(-1.0);
-  if (!busy_smoothed_.empty()) busy_smoothed_.push_back(0.0);
-  if (resil_active()) {
-    detectors_.emplace_back(config_.resil.phi_window, config_.resil.phi_min_std);
-    quarantine_->add_worker();
-    engine_.after(config_.resil.heartbeat_period,
-                  [this, w] { send_heartbeat(w); });
-  }
+  add_helper(apprank, node);
   m_.rewired_edges->inc();
   mark_trace("rewired apprank " + std::to_string(apprank) + " -> node " +
              std::to_string(node));
@@ -1783,9 +1779,7 @@ int ClusterRuntime::grow_node(const sim::NodeSpec& spec, int helpers) {
     throw std::invalid_argument("grow_node: node needs at least one core");
   }
 
-  // The grow sequence is the rewire path run once per helper: graph edge,
-  // topology slot, control-plane rank, TALP / detector / quarantine state,
-  // per-worker runtime vectors.
+  // The grow sequence is the rewire path run once per helper (add_helper).
   const int node = expander_.graph.add_right_vertex();
   const int tnode = topology_->add_node();
   assert(node == tnode && "graph and topology node ids must stay aligned");
@@ -1807,28 +1801,7 @@ int ClusterRuntime::grow_node(const sim::NodeSpec& spec, int helpers) {
 
   std::vector<WorkerId> added;
   for (int i = 0; i < count; ++i) {
-    const int a = order[static_cast<std::size_t>(i)];
-    expander_.graph.add_edge(a, node);
-    const WorkerId w = topology_->add_worker(a, node);
-    const vmpi::RankId rank = ctrl_comm_->add_rank(node);
-    (void)rank;
-    assert(rank == w && "control-plane ranks mirror worker ids");
-    talp_->add_worker();
-    workers_.emplace_back();
-    alive_.push_back(1);
-    retired_.push_back(0);
-    suspected_.push_back(0);
-    last_heartbeat_.push_back(-1.0);
-    crashed_at_.push_back(-1.0);
-    if (!busy_smoothed_.empty()) busy_smoothed_.push_back(0.0);
-    if (resil_active()) {
-      detectors_.emplace_back(config_.resil.phi_window,
-                              config_.resil.phi_min_std);
-      quarantine_->add_worker();
-      engine_.after(config_.resil.heartbeat_period,
-                    [this, w] { send_heartbeat(w); });
-    }
-    added.push_back(w);
+    added.push_back(add_helper(order[static_cast<std::size_t>(i)], node));
   }
   assert(!added.empty());
 
@@ -1848,11 +1821,7 @@ int ClusterRuntime::grow_node(const sim::NodeSpec& spec, int helpers) {
   mark_trace("elastic: node " + std::to_string(node) + " joined with " +
              std::to_string(added.size()) + " helpers");
 
-  if (config_.drom_active() && !done_) {
-    engine_.cancel(policy_event_);
-    policy_event_ = sim::kInvalidEvent;
-    policy_tick();
-  }
+  resolve_policy_now();
   kick_node(node);
   return node;
 }
@@ -1913,11 +1882,7 @@ void ClusterRuntime::retire_node(int node) {
 
   // Re-solve over the reduced capacity, then let the survivors pick up the
   // rescued work.
-  if (config_.drom_active() && !done_) {
-    engine_.cancel(policy_event_);
-    policy_event_ = sim::kInvalidEvent;
-    policy_tick();
-  }
+  resolve_policy_now();
   for (int n = 0; n < topology_->node_count(); ++n) {
     if (!node_retired_[static_cast<std::size_t>(n)]) kick_node(n);
   }

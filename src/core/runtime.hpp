@@ -449,6 +449,11 @@ class ClusterRuntime : private sched::RuntimeView {
   /// Adds a replacement helper edge when `apprank` has no usable helper
   /// left (expander rewire across graph / topology / vmpi / DLB layers).
   void maybe_rewire(int apprank);
+  /// Threads a new helper of `apprank` on `node` through every layer:
+  /// graph edge, topology slot, control-plane rank, TALP, per-worker
+  /// vectors, detector, quarantine and the first heartbeat. Shared by
+  /// maybe_rewire and grow_node; returns the new worker id.
+  WorkerId add_helper(int apprank, int node);
 
   // Observability (tlb::obs).
   /// The span sink lifecycle hooks emit into: the streaming backend when
@@ -477,6 +482,9 @@ class ClusterRuntime : private sched::RuntimeView {
   // DROM policy loop (§5.4).
   void schedule_policy_tick();
   void policy_tick();
+  /// Membership changed: replaces the pending periodic tick with an
+  /// immediate policy solve (no-op without DROM or after the run ends).
+  void resolve_policy_now();
   void apply_plan(const OwnershipPlan& plan);
   void record_ownership();
 

@@ -68,21 +68,6 @@ struct NetConfig {
   /// carrying at least two flows is marked congested in the trace.
   double congestion_threshold = 0.95;
 
-  /// Incremental max-min re-solve: a flow arrival/departure settles and
-  /// re-solves only the connected component of flows/links it touches
-  /// (flows sharing a link, transitively) instead of every flow in the
-  /// fabric. Rates are *bitwise identical* to the full progressive
-  /// filling — max-min decomposes over components and the per-link
-  /// arithmetic order is preserved — and debug builds assert that after
-  /// every incremental solve. Completion *event* times and ids can still
-  /// differ in the last ulp / tie order because untouched flows keep
-  /// their previously scheduled events instead of being cancelled and
-  /// re-posted, so the default stays off: disabled runs are bit-identical
-  /// to the legacy full solve (golden fingerprints pin this). Enable for
-  /// scale runs (bench/fig17): the re-solve cost drops from
-  /// O(flows x links) to O(component).
-  bool incremental = false;
-
   [[nodiscard]] double nic_bw(const sim::LinkSpec& link) const {
     return nic_bandwidth > 0.0 ? nic_bandwidth : link.bandwidth;
   }

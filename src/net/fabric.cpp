@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <numeric>
-#include <unordered_set>
 
 #include "prof/prof.hpp"
 
@@ -24,7 +22,6 @@ Fabric::Fabric(sim::Engine& engine, NetTopology topology)
   util_series_.resize(links);
   last_util_.assign(links, 0.0);
   congested_.assign(links, 0);
-  link_flows_.resize(links);
 }
 
 Fabric::~Fabric() {
@@ -87,21 +84,19 @@ void Fabric::inject(FlowId id) {
   }
   flow.injected = true;
   flow.settled_at = engine_.now();
-  link_flow(id, flow);
-  resolve_after_change(topo_.route(flow.src, flow.dst));
+  solve();
 }
 
 void Fabric::complete(FlowId id) {
   auto it = flows_.find(id);
   assert(it != flows_.end());
   Flow flow = std::move(it->second);
-  if (flow.injected) unlink_flow(id, flow);
   flows_.erase(it);
   prof::free_note(prof::AllocTag::NetFlow, sizeof(Flow));
   ++completed_;
   if (flow.bytes > 0) fcts_.push_back(engine_.now() - flow.started_at);
   delivered_ += flow.bytes;
-  if (flow.injected) resolve_after_change(topo_.route(flow.src, flow.dst));
+  if (flow.injected) solve();
   if (flow.on_complete) flow.on_complete();
 }
 
@@ -109,149 +104,68 @@ void Fabric::cancel(FlowId id) {
   auto it = flows_.find(id);
   if (it == flows_.end()) return;  // completed or never existed
   const bool injected = it->second.injected;
-  if (injected) unlink_flow(id, it->second);
-  const NodeId src = it->second.src;
-  const NodeId dst = it->second.dst;
   engine_.cancel(it->second.pending_event);
   flows_.erase(it);
   prof::free_note(prof::AllocTag::NetFlow, sizeof(Flow));
   ++cancelled_;
   // Released bandwidth is re-shared immediately.
-  if (injected) resolve_after_change(topo_.route(src, dst));
+  if (injected) solve();
 }
 
 void Fabric::set_global_fault(double latency_mult, double bandwidth_mult) {
   assert(latency_mult > 0.0 && bandwidth_mult > 0.0);
   latency_mult_ = latency_mult;
   bandwidth_mult_ = bandwidth_mult;
-  recompute();  // capacity change touches every component: full solve
+  solve();
 }
 
 void Fabric::degrade_link(LinkId link, double capacity_mult) {
   assert(link >= 0 && link < topo_.link_count());
   assert(capacity_mult > 0.0);
   link_mult_[static_cast<std::size_t>(link)] = capacity_mult;
-  recompute();
+  solve();
 }
 
-void Fabric::link_flow(FlowId id, const Flow& flow) {
-  for (LinkId l : topo_.route(flow.src, flow.dst)) {
-    link_flows_[static_cast<std::size_t>(l)].push_back(id);
+void Fabric::solve() {
+  PROF_SCOPE("net.solve");
+  const sim::SimTime now = engine_.now();
+  const int link_count = topo_.link_count();
+  const std::size_t nlinks = static_cast<std::size_t>(link_count);
+  std::vector<double> residual(nlinks);
+  std::vector<int> unfrozen(nlinks, 0);
+  for (LinkId l = 0; l < link_count; ++l) {
+    residual[static_cast<std::size_t>(l)] = effective_capacity(l);
   }
-}
 
-void Fabric::unlink_flow(FlowId id, const Flow& flow) {
-  for (LinkId l : topo_.route(flow.src, flow.dst)) {
-    auto& v = link_flows_[static_cast<std::size_t>(l)];
-    v.erase(std::remove(v.begin(), v.end(), id), v.end());
-  }
-}
-
-void Fabric::recompute() {
-  PROF_SCOPE("net.solve.full");
+  // 1. Settle: bank the bytes each injected flow streamed since its last
+  // update, cancel its stale completion event, and count it on its links.
   std::vector<std::pair<FlowId, Flow*>> active;
   active.reserve(flows_.size());
   for (auto& [id, flow] : flows_) {
-    if (flow.injected) active.emplace_back(id, &flow);
-  }
-  std::vector<LinkId> links(static_cast<std::size_t>(topo_.link_count()));
-  std::iota(links.begin(), links.end(), 0);
-  solve(active, links);
-}
-
-void Fabric::resolve_after_change(const std::vector<LinkId>& seed) {
-  if (!incremental_) {
-    recompute();
-    return;
-  }
-  // Exclusive time under this scope is the component walk; the nested
-  // "net.solve" node is the progressive filling itself.
-  PROF_SCOPE("net.solve.incremental");
-  // Walk the flow<->link incidence graph from the seed links to collect
-  // the connected component the change can affect. Every injected flow
-  // crossing a component link is itself in the component (BFS closure),
-  // so the per-link load computed from component flows alone is total.
-  std::vector<char> link_seen(static_cast<std::size_t>(topo_.link_count()), 0);
-  std::unordered_set<FlowId> flow_seen;
-  std::vector<LinkId> stack;
-  std::vector<LinkId> comp_links;
-  std::vector<FlowId> comp_flows;
-  for (LinkId l : seed) {
-    if (link_seen[static_cast<std::size_t>(l)] == 0) {
-      link_seen[static_cast<std::size_t>(l)] = 1;
-      stack.push_back(l);
+    if (!flow.injected) continue;
+    active.emplace_back(id, &flow);
+    flow.remaining -= flow.rate * (now - flow.settled_at);
+    if (flow.remaining < 0.0) flow.remaining = 0.0;
+    flow.settled_at = now;
+    engine_.cancel(flow.pending_event);
+    flow.pending_event = sim::kInvalidEvent;
+    flow.rate = 0.0;
+    for (LinkId l : topo_.route(flow.src, flow.dst)) {
+      ++unfrozen[static_cast<std::size_t>(l)];
     }
   }
-  while (!stack.empty()) {
-    const LinkId l = stack.back();
-    stack.pop_back();
-    comp_links.push_back(l);
-    for (FlowId f : link_flows_[static_cast<std::size_t>(l)]) {
-      if (!flow_seen.insert(f).second) continue;
-      comp_flows.push_back(f);
-      const Flow& flow = flows_.at(f);
-      for (LinkId rl : topo_.route(flow.src, flow.dst)) {
-        if (link_seen[static_cast<std::size_t>(rl)] == 0) {
-          link_seen[static_cast<std::size_t>(rl)] = 1;
-          stack.push_back(rl);
-        }
-      }
-    }
-  }
-  // Sorted ids reproduce the full solve's deterministic iteration order
-  // (flows freeze and accumulate load in id order, links record in
-  // ascending order).
-  std::sort(comp_links.begin(), comp_links.end());
-  std::sort(comp_flows.begin(), comp_flows.end());
-  std::vector<std::pair<FlowId, Flow*>> active;
-  active.reserve(comp_flows.size());
-  for (FlowId f : comp_flows) active.emplace_back(f, &flows_.at(f));
-  solve(active, comp_links);
-#ifndef NDEBUG
-  assert_rates_match_full_solve();
-#endif
-}
-
-void Fabric::solve(std::vector<std::pair<FlowId, Flow*>>& active,
-                   const std::vector<LinkId>& links) {
-  PROF_SCOPE("net.solve");
-  const sim::SimTime now = engine_.now();
   ++solver_runs_;
   solver_flows_touched_ += active.size();
-  solver_links_touched_ += links.size();
-
-  // 1. Settle: bank the bytes each flow streamed since its last update and
-  // cancel the stale completion events.
-  for (auto& [id, flow] : active) {
-    (void)id;
-    flow->remaining -= flow->rate * (now - flow->settled_at);
-    if (flow->remaining < 0.0) flow->remaining = 0.0;
-    flow->settled_at = now;
-    engine_.cancel(flow->pending_event);
-    flow->pending_event = sim::kInvalidEvent;
-  }
+  solver_links_touched_ += nlinks;
+  const std::vector<int> crossing = unfrozen;
 
   // 2. Progressive filling: repeatedly find the bottleneck link (smallest
   // fair share = residual capacity / unfrozen flows) and freeze its flows
   // at that share. Iterating flows in id order keeps ties deterministic.
-  std::vector<double> residual(static_cast<std::size_t>(topo_.link_count()),
-                               0.0);
-  std::vector<int> unfrozen(static_cast<std::size_t>(topo_.link_count()), 0);
-  for (LinkId l : links) {
-    residual[static_cast<std::size_t>(l)] = effective_capacity(l);
-  }
-  int remaining_flows = 0;
-  for (auto& [id, flow] : active) {
-    (void)id;
-    flow->rate = 0.0;
-    ++remaining_flows;
-    for (LinkId l : topo_.route(flow->src, flow->dst)) {
-      ++unfrozen[static_cast<std::size_t>(l)];
-    }
-  }
+  std::size_t remaining_flows = active.size();
   while (remaining_flows > 0) {
     double share = std::numeric_limits<double>::infinity();
-    for (LinkId l : links) {
+    for (LinkId l = 0; l < link_count; ++l) {
       const std::size_t sl = static_cast<std::size_t>(l);
       if (unfrozen[sl] > 0) {
         share = std::min(share, residual[sl] / unfrozen[sl]);
@@ -261,7 +175,6 @@ void Fabric::solve(std::vector<std::pair<FlowId, Flow*>>& active,
     // Freeze every unfrozen flow crossing a link at the bottleneck share.
     bool froze_any = false;
     for (auto& [id, flow] : active) {
-      (void)id;
       if (flow->rate > 0.0) continue;
       bool at_bottleneck = false;
       for (LinkId l : topo_.route(flow->src, flow->dst)) {
@@ -285,26 +198,21 @@ void Fabric::solve(std::vector<std::pair<FlowId, Flow*>>& active,
     (void)froze_any;
   }
 
-  // 3. Reschedule completions from the new rates.
+  // 3. Reschedule completions from the new rates and sum link loads.
+  std::vector<double> load(nlinks, 0.0);
   for (auto& [id, flow] : active) {
     assert(flow->rate > 0.0);
     const sim::SimTime left =
         flow->remaining <= kByteEpsilon ? 0.0 : flow->remaining / flow->rate;
     flow->pending_event =
         engine_.after(left, [this, id = id] { complete(id); });
+    for (LinkId l : topo_.route(flow->src, flow->dst)) {
+      load[static_cast<std::size_t>(l)] += flow->rate;
+    }
   }
 
   // 4. Record utilization and congestion transitions.
-  std::vector<double> load(static_cast<std::size_t>(topo_.link_count()), 0.0);
-  std::vector<int> crossing(static_cast<std::size_t>(topo_.link_count()), 0);
-  for (const auto& [id, flow] : active) {
-    (void)id;
-    for (LinkId l : topo_.route(flow->src, flow->dst)) {
-      load[static_cast<std::size_t>(l)] += flow->rate;
-      ++crossing[static_cast<std::size_t>(l)];
-    }
-  }
-  for (LinkId l : links) {
+  for (LinkId l = 0; l < link_count; ++l) {
     const std::size_t sl = static_cast<std::size_t>(l);
     const double util = std::min(1.0, load[sl] / effective_capacity(l));
     if (util != last_util_[sl]) {
@@ -329,69 +237,6 @@ void Fabric::solve(std::vector<std::pair<FlowId, Flow*>>& active,
     }
   }
 }
-
-#ifndef NDEBUG
-void Fabric::assert_rates_match_full_solve() {
-  // Pure replay of progressive filling over *all* injected flows, using
-  // the exact arithmetic of solve() but without touching any state. The
-  // component solve must have left every flow at precisely this rate —
-  // max-min decomposes over connected components and the incremental
-  // path preserves the per-link operation order, so == (not near) holds.
-  std::vector<double> residual(static_cast<std::size_t>(topo_.link_count()),
-                               0.0);
-  std::vector<int> unfrozen(static_cast<std::size_t>(topo_.link_count()), 0);
-  for (int l = 0; l < topo_.link_count(); ++l) {
-    residual[static_cast<std::size_t>(l)] = effective_capacity(l);
-  }
-  std::map<FlowId, double> expected;
-  int remaining_flows = 0;
-  for (const auto& [id, flow] : flows_) {
-    if (!flow.injected) continue;
-    expected[id] = 0.0;
-    ++remaining_flows;
-    for (LinkId l : topo_.route(flow.src, flow.dst)) {
-      ++unfrozen[static_cast<std::size_t>(l)];
-    }
-  }
-  while (remaining_flows > 0) {
-    double share = std::numeric_limits<double>::infinity();
-    for (int l = 0; l < topo_.link_count(); ++l) {
-      const std::size_t sl = static_cast<std::size_t>(l);
-      if (unfrozen[sl] > 0) {
-        share = std::min(share, residual[sl] / unfrozen[sl]);
-      }
-    }
-    bool froze_any = false;
-    for (const auto& [id, flow] : flows_) {
-      if (!flow.injected || expected[id] > 0.0) continue;
-      bool at_bottleneck = false;
-      for (LinkId l : topo_.route(flow.src, flow.dst)) {
-        const std::size_t sl = static_cast<std::size_t>(l);
-        if (residual[sl] / unfrozen[sl] <= share) {
-          at_bottleneck = true;
-          break;
-        }
-      }
-      if (!at_bottleneck) continue;
-      expected[id] = share;
-      froze_any = true;
-      --remaining_flows;
-      for (LinkId l : topo_.route(flow.src, flow.dst)) {
-        const std::size_t sl = static_cast<std::size_t>(l);
-        residual[sl] = std::max(0.0, residual[sl] - share);
-        --unfrozen[sl];
-      }
-    }
-    assert(froze_any);
-    (void)froze_any;
-  }
-  for (const auto& [id, flow] : flows_) {
-    if (!flow.injected) continue;
-    assert(flow.rate == expected.at(id) &&
-           "incremental component solve diverged from full max-min rates");
-  }
-}
-#endif
 
 double Fabric::fct_quantile(double q) const {
   if (fcts_.empty()) return 0.0;

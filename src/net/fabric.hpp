@@ -7,18 +7,6 @@
 // is rescheduled from its remaining bytes and new rate. A flow first pays
 // the route's wire latency, then streams its bytes at the fair rate.
 //
-// Two solver modes (set_incremental / NetConfig::incremental):
-//  - full (default): every change settles and re-solves all flows —
-//    the legacy behavior, bit-identical to the pre-solver engine.
-//  - incremental: a change re-solves only the connected component of
-//    flows and links reachable from the changed flow's route (flows
-//    sharing a link, transitively, via the link_flows_ index). Max-min
-//    fairness decomposes over components and the per-link arithmetic is
-//    preserved, so the *rates* are bitwise identical to the full solve
-//    (debug builds assert this after every incremental solve); only
-//    completion-event ids/ulps may differ because untouched flows keep
-//    their previously scheduled events.
-//
 // Determinism: flows are stored and iterated in flow-id order, routing is
 // a pure function of the topology, and the fair-share computation is
 // plain floating-point arithmetic — no RNG, no address-dependent
@@ -92,19 +80,8 @@ class Fabric {
   /// Every flow whose route crosses the link immediately slows down.
   void degrade_link(LinkId link, double capacity_mult);
 
-  // --- solver selection --------------------------------------------------------
-
-  /// Switches flow arrivals/departures to the incremental component
-  /// re-solver (see header comment). Fault changes always run the full
-  /// solve. Toggling mid-run is safe: the per-link flow index is
-  /// maintained in both modes.
-  void set_incremental(bool on) { incremental_ = on; }
-  [[nodiscard]] bool is_incremental() const { return incremental_; }
-
   /// Current max-min fair rate of a flow in bytes/s; 0 for unknown,
-  /// completed, or latency-phase flows. fig17's solver arm compares these
-  /// across an incremental and a full fabric driven identically — they
-  /// must match exactly.
+  /// completed, or latency-phase flows.
   [[nodiscard]] double flow_rate(FlowId id) const;
 
   /// Current effective capacity of a link (nominal x global x per-link).
@@ -144,8 +121,7 @@ class Fabric {
   [[nodiscard]] std::uint64_t bytes_delivered() const { return delivered_; }
 
   /// Solver work counters: number of solves run and the flows/links each
-  /// visited, summed. The incremental win is visible as
-  /// solver_flows_touched() << solver_runs() * active flows.
+  /// visited, summed.
   [[nodiscard]] std::uint64_t solver_runs() const { return solver_runs_; }
   [[nodiscard]] std::uint64_t solver_flows_touched() const {
     return solver_flows_touched_;
@@ -180,34 +156,14 @@ class Fabric {
 
   void inject(FlowId id);
   void complete(FlowId id);
-  /// Settles every active flow's remaining bytes to now, recomputes
+  /// Settles every injected flow's remaining bytes to now, recomputes
   /// max-min fair rates, reschedules completions, records utilization.
-  void recompute();
-  /// Settles, progressively fills, reschedules, and records utilization
-  /// for exactly the given flows and links (sorted by id). recompute()
-  /// calls this with everything; the incremental path with one component.
-  void solve(std::vector<std::pair<FlowId, Flow*>>& active,
-             const std::vector<LinkId>& links);
-  /// Re-solves after a flow joined/left the links in `seed`: the flow's
-  /// connected component in incremental mode, everything otherwise.
-  void resolve_after_change(const std::vector<LinkId>& seed);
-  void link_flow(FlowId id, const Flow& flow);
-  void unlink_flow(FlowId id, const Flow& flow);
-#ifndef NDEBUG
-  /// Recomputes every injected flow's rate with a pure full progressive
-  /// filling and asserts the stored rates match bitwise.
-  void assert_rates_match_full_solve();
-#endif
+  void solve();
 
   sim::Engine& engine_;
   NetTopology topo_;
   std::map<FlowId, Flow> flows_;  ///< id order => deterministic iteration
   FlowId next_id_ = 1;
-  bool incremental_ = false;
-  /// Injected flows crossing each link — the incidence index the
-  /// incremental solver walks to collect a component. Maintained in both
-  /// modes (the full path ignores it).
-  std::vector<std::vector<FlowId>> link_flows_;
   std::uint64_t solver_runs_ = 0;
   std::uint64_t solver_flows_touched_ = 0;
   std::uint64_t solver_links_touched_ = 0;

@@ -172,8 +172,8 @@ class Profiler {
   /// nested scopes attribute to their root ancestor exactly once).
   [[nodiscard]] std::uint64_t attributed_ns() const;
   /// Total inclusive time over every node with exactly this name,
-  /// regardless of call path (e.g. "net.solve" under both the full and
-  /// the incremental re-solve).
+  /// regardless of call path (e.g. "net.solve" under every dispatch that
+  /// re-solves the fabric).
   [[nodiscard]] std::uint64_t total_ns(const char* name) const;
 
   /// flamegraph.pl-compatible collapsed stacks over *host* time:

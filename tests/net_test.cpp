@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <random>
 #include <vector>
@@ -395,124 +396,144 @@ TEST(NetRuntime, LinkFaultComposesWithFabric) {
   EXPECT_GT(r.makespan, r_clean.makespan);
 }
 
-// --- incremental solver ------------------------------------------------------
+// --- reference max-min oracle ------------------------------------------------
 
-// The contract of Fabric::set_incremental(true): the dirty-component
-// re-solver must produce *bitwise identical* max-min rates to the full
-// progressive filling after every arrival and departure (see
-// net/fabric.hpp — completion event order may differ, rates may not).
-// Drive two fabrics over the same seeded random flow pattern and compare
-// every live rate exactly after every mutation.
-TEST(NetFabricIncremental, RatesMatchFullSolveUnderRandomChurn) {
+struct LiveFlow {
+  NodeId src;
+  NodeId dst;
+};
+
+// Pure progressive filling over `live` (injected flows in id order) with
+// the fabric's current link capacities. It repeats the solver's
+// arithmetic in the same order (flows by id, links ascending) without
+// touching any fabric state, so the rates it returns must equal
+// Fabric::flow_rate bitwise, not merely nearly.
+std::vector<double> reference_max_min(const Fabric& fab,
+                                      const std::vector<LiveFlow>& live) {
+  const NetTopology& topo = fab.topology();
+  const std::size_t links = static_cast<std::size_t>(topo.link_count());
+  std::vector<double> residual(links);
+  std::vector<int> unfrozen(links, 0);
+  for (LinkId l = 0; l < topo.link_count(); ++l) {
+    residual[static_cast<std::size_t>(l)] = fab.effective_capacity(l);
+  }
+  std::vector<double> rate(live.size(), 0.0);
+  for (const LiveFlow& f : live) {
+    for (LinkId l : topo.route(f.src, f.dst)) {
+      ++unfrozen[static_cast<std::size_t>(l)];
+    }
+  }
+  std::size_t remaining = live.size();
+  while (remaining > 0) {
+    double share = std::numeric_limits<double>::infinity();
+    for (std::size_t l = 0; l < links; ++l) {
+      if (unfrozen[l] > 0) share = std::min(share, residual[l] / unfrozen[l]);
+    }
+    std::size_t froze = 0;
+    for (std::size_t k = 0; k < live.size(); ++k) {
+      if (rate[k] > 0.0) continue;
+      const auto& route = topo.route(live[k].src, live[k].dst);
+      const bool at_bottleneck =
+          std::any_of(route.begin(), route.end(), [&](LinkId l) {
+            const std::size_t sl = static_cast<std::size_t>(l);
+            return residual[sl] / unfrozen[sl] <= share;
+          });
+      if (!at_bottleneck) continue;
+      rate[k] = share;
+      ++froze;
+      for (LinkId l : route) {
+        const std::size_t sl = static_cast<std::size_t>(l);
+        residual[sl] = std::max(0.0, residual[sl] - share);
+        --unfrozen[sl];
+      }
+    }
+    if (froze == 0) {
+      ADD_FAILURE() << "progressive filling froze no flow in a round";
+      break;
+    }
+    remaining -= froze;
+  }
+  return rate;
+}
+
+// Seeded churn on a 32-node fat-tree: bursty arrivals skewed to a few hot
+// destinations (so flows share links), sporadic cancels. After every
+// 16th arrival, every live flow must stream at exactly the reference
+// max-min rate, and the flow ledger must balance.
+TEST(NetFabric, RatesMatchReferenceMaxMinUnderChurn) {
   constexpr int kNodes = 32;
   constexpr int kFlows = 600;
-  const auto make = [] {
-    return NetTopology::fat_tree(kNodes, 8, 2, 100.0, 400.0, 0.0, 0.0);
-  };
+  sim::Engine eng;
+  Fabric fab(eng,
+             NetTopology::fat_tree(kNodes, 8, 2, 100.0, 400.0, 0.0, 0.0));
 
-  sim::Engine full_eng;
-  sim::Engine incr_eng;
-  Fabric full(full_eng, make());
-  Fabric incr(incr_eng, make());
-  incr.set_incremental(true);
-
-  // Deterministic churn: bursty arrivals (skewed to a handful of hot
-  // destinations so components overlap), sporadic cancels. The engines
-  // run sequentially, so audits snapshot the full solver's state as it
-  // passes each checkpoint and the incremental run replays against the
-  // snapshots.
   std::mt19937_64 rng(0x1722ull);
-  std::vector<FlowId> full_ids;
-  std::vector<FlowId> incr_ids;
-  std::vector<std::vector<std::pair<bool, double>>> audits;
-  std::size_t next_audit = 0;
+  std::vector<FlowId> ids;
+  std::vector<LiveFlow> ends;  // indexed like ids
+  std::uint64_t completed_bytes = 0;
+  int audits = 0;
+  const auto check_ledger = [&] {
+    EXPECT_EQ(fab.flows_started(),
+              fab.flows_completed() + fab.flows_cancelled() +
+                  static_cast<std::uint64_t>(fab.active_flows()));
+    EXPECT_EQ(fab.bytes_delivered(), completed_bytes);
+  };
   for (int i = 0; i < kFlows; ++i) {
     const int src = static_cast<int>(rng() % kNodes);
     int dst = static_cast<int>(rng() % (i % 3 == 0 ? 4 : kNodes));
     if (dst == src) dst = (dst + 1) % kNodes;
     const std::uint64_t bytes = 1000 + rng() % 100000;
     const sim::SimTime t = 1e-4 * static_cast<double>(i);
-    full_eng.at(t, [&full, &full_ids, src, dst, bytes] {
-      full_ids.push_back(full.start_flow(src, dst, bytes, [] {}));
-    });
-    incr_eng.at(t, [&incr, &incr_ids, src, dst, bytes] {
-      incr_ids.push_back(incr.start_flow(src, dst, bytes, [] {}));
+    eng.at(t, [&, src, dst, bytes] {
+      ids.push_back(fab.start_flow(src, dst, bytes,
+                                   [&, bytes] { completed_bytes += bytes; }));
+      ends.push_back({src, dst});
     });
     if (i % 5 == 4) {
       const std::size_t victim = rng() % static_cast<std::size_t>(i + 1);
-      const sim::SimTime tc = t + 5e-5;
-      full_eng.at(tc, [&full, &full_ids, victim] {
-        if (victim < full_ids.size()) full.cancel(full_ids[victim]);
-      });
-      incr_eng.at(tc, [&incr, &incr_ids, victim] {
-        if (victim < incr_ids.size()) incr.cancel(incr_ids[victim]);
+      eng.at(t + 5e-5, [&, victim] {
+        if (victim < ids.size()) fab.cancel(ids[victim]);
       });
     }
-    // Rate audit after every 16th arrival: every flow either inactive in
-    // both fabrics or streaming at the bit-identical max-min rate.
     if (i % 16 == 15) {
-      const sim::SimTime ta = t + 7e-5;
-      full_eng.at(ta, [&full, &full_ids, &audits] {
-        std::vector<std::pair<bool, double>> snap;
-        snap.reserve(full_ids.size());
-        for (const FlowId id : full_ids) {
-          snap.emplace_back(full.active(id), full.flow_rate(id));
+      eng.at(t + 7e-5, [&] {
+        // Zero wire latency: every live flow is already injected, so
+        // active() is exactly the set the solver shares bandwidth over.
+        std::vector<std::size_t> live_idx;
+        std::vector<LiveFlow> live;
+        for (std::size_t k = 0; k < ids.size(); ++k) {
+          if (!fab.active(ids[k])) continue;
+          live_idx.push_back(k);
+          live.push_back(ends[k]);
         }
-        audits.push_back(std::move(snap));
-      });
-      incr_eng.at(ta, [&incr, &incr_ids, &audits, &next_audit] {
-        ASSERT_LT(next_audit, audits.size());
-        const auto& snap = audits[next_audit++];
-        ASSERT_EQ(snap.size(), incr_ids.size());
-        for (std::size_t k = 0; k < snap.size(); ++k) {
-          ASSERT_EQ(snap[k].first, incr.active(incr_ids[k])) << "flow " << k;
-          ASSERT_EQ(snap[k].second, incr.flow_rate(incr_ids[k]))
-              << "flow " << k;
+        const std::vector<double> expected = reference_max_min(fab, live);
+        for (std::size_t j = 0; j < live.size(); ++j) {
+          ASSERT_EQ(fab.flow_rate(ids[live_idx[j]]), expected[j])
+              << "flow " << live_idx[j] << " at audit " << audits;
         }
+        check_ledger();
+        ++audits;
       });
     }
   }
-  full_eng.run();
-  incr_eng.run();
-  EXPECT_EQ(next_audit, audits.size());
-
-  // Identical end state: everything drained, same completion times.
-  EXPECT_EQ(full.active_flows(), 0);
-  EXPECT_EQ(incr.active_flows(), 0);
-  ASSERT_EQ(full.completion_times().size(), incr.completion_times().size());
-  // Completion *times* agree pairwise after sorting. Rates are bitwise
-  // identical, but remaining-byte settling telescopes differently (the
-  // full solve re-settles every flow at every event, the incremental one
-  // only on touch), so completion instants can drift by rounding — never
-  // by more than a few ulps of simulated time.
-  std::vector<double> fct_full = full.completion_times();
-  std::vector<double> fct_incr = incr.completion_times();
-  std::sort(fct_full.begin(), fct_full.end());
-  std::sort(fct_incr.begin(), fct_incr.end());
-  for (std::size_t k = 0; k < fct_full.size(); ++k) {
-    EXPECT_NEAR(fct_full[k], fct_incr[k], 1e-9 * (1.0 + fct_full[k]))
-        << "fct " << k;
-  }
-  // The point of the mode: strictly less solver work per event.
-  EXPECT_EQ(full.solver_runs(), incr.solver_runs());
-  EXPECT_LT(incr.solver_flows_touched(), full.solver_flows_touched());
-  EXPECT_LT(incr.solver_links_touched(), full.solver_links_touched());
+  eng.run();
+  EXPECT_EQ(audits, kFlows / 16);
+  EXPECT_EQ(fab.active_flows(), 0);
+  EXPECT_GT(fab.flows_cancelled(), 0u);
+  check_ledger();
 }
 
-// Mid-run fault changes always fall back to the full solve; toggling the
-// mode mid-run keeps the per-link index coherent.
-TEST(NetFabricIncremental, FaultsAndTogglesStayCoherent) {
+// A mid-run global fault re-shares competing flows: 0..5 s at 50 B/s each
+// (250 B), then 25 B/s each, so the remaining 750 B take 30 s.
+TEST(NetFabric, MidRunGlobalFaultReSharesCompetingFlows) {
   sim::Engine eng;
   Fabric fab(eng, NetTopology::crossbar(4, 100.0, 0.0));
-  fab.set_incremental(true);
   double done_a = -1.0;
   double done_b = -1.0;
   fab.start_flow(0, 1, 1000, [&] { done_a = eng.now(); });
   fab.start_flow(2, 1, 1000, [&] { done_b = eng.now(); });
-  eng.at(5.0, [&] { fab.set_global_fault(1.0, 0.5); });  // full recompute
-  eng.at(10.0, [&] { fab.set_incremental(false); });
+  eng.at(5.0, [&] { fab.set_global_fault(1.0, 0.5); });
   eng.run();
-  // 0..5 s at 50 B/s (250 B), then 25 B/s: remaining 750 B in 30 s.
   EXPECT_DOUBLE_EQ(done_a, 35.0);
   EXPECT_DOUBLE_EQ(done_b, 35.0);
   EXPECT_EQ(fab.active_flows(), 0);
