@@ -108,7 +108,7 @@ struct RuntimeConfig {
   svc::SvcConfig svc;
 
   std::uint64_t seed = 42;       ///< expander generation seed
-  bool record_traces = true;     ///< keep busy/owned series for figures
+  bool record_traces = true;     ///< keep busy/owned series and marks
 
   [[nodiscard]] bool drom_active() const {
     return drom && policy != PolicyKind::None;

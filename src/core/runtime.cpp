@@ -140,17 +140,16 @@ ClusterRuntime::ClusterRuntime(RuntimeConfig config, sim::Engine* shared_engine)
   talp_ = std::make_unique<dlb::TalpModule>(
       [this] { return engine_.now(); }, topology_->worker_count());
   recorder_ = std::make_unique<trace::Recorder>(topology_->node_count(),
-                                                topology_->apprank_count());
+                                                topology_->apprank_count(),
+                                                config_.record_traces);
   register_metrics();
   if (config_.obs.stream.enabled) {
     // Streaming backend: finished spans spill to disk, only open spans
     // stay resident. Supersedes the in-memory collector when both are
     // requested (same events, bounded memory).
-    stream_sink_ = std::make_unique<stream::StreamSink>(config_.obs.stream);
-    active_sink_ = stream_sink_.get();
+    span_backend_ = std::make_unique<stream::StreamSink>(config_.obs.stream);
   } else if (config_.obs.spans) {
-    span_collector_ = std::make_unique<obs::SpanCollector>();
-    active_sink_ = span_collector_.get();
+    span_backend_ = std::make_unique<obs::SpanCollector>();
   }
 
   // Contention-aware interconnect (tlb::net): replace the analytic cost
@@ -171,10 +170,9 @@ ClusterRuntime::ClusterRuntime(RuntimeConfig config, sim::Engine* shared_engine)
                   nconf.base_latency(link), nconf.per_hop_latency);
     fabric_ = std::make_unique<net::Fabric>(engine_, std::move(topo));
     fabric_->set_congestion_threshold(nconf.congestion_threshold);
-    fabric_->set_recorder(recorder_.get());
-    if (active_sink_ != &null_sink_) {
-      fabric_->set_span_sink(active_sink_);
-    }
+    fabric_->set_congestion_observer([this](net::LinkId l, bool congested) {
+      on_link_congestion(l, congested);
+    });
     app_comm_->attach_fabric(fabric_.get());
     ctrl_comm_->attach_fabric(fabric_.get());
     link_load_view_ = std::make_unique<net::LinkLoadView>(*fabric_);
@@ -197,13 +195,9 @@ ClusterRuntime::ClusterRuntime(RuntimeConfig config, sim::Engine* shared_engine)
     // gauge; cleared in the destructor so the callback never dangles.
     prof::Profiler::instance().set_open_spans_gauge(
         [this]() -> std::int64_t {
-          if (stream_sink_ != nullptr) {
-            return static_cast<std::int64_t>(stream_sink_->open_spans());
-          }
-          if (span_collector_ != nullptr) {
-            return static_cast<std::int64_t>(span_collector_->spans().size());
-          }
-          return 0;
+          return span_backend_ != nullptr
+                     ? static_cast<std::int64_t>(span_backend_->resident_spans())
+                     : 0;
         });
     prof_gauge_registered_ = true;
   }
@@ -323,10 +317,8 @@ obs::PopReport ClusterRuntime::pop() const {
                              ? result_.makespan
                              : engine_.now() - start_time_;
   const double transfer_wait =
-      stream_sink_ != nullptr ? stream_sink_->transfer_wait_core_seconds()
-      : span_collector_ != nullptr
-          ? span_collector_->transfer_wait_core_seconds()
-          : 0.0;
+      span_backend_ != nullptr ? span_backend_->transfer_wait_core_seconds()
+                               : 0.0;
   return obs::pop_report(*talp_, worker_apprank, topology_->apprank_count(),
                          total_cores, elapsed, transfer_wait);
 }
@@ -468,25 +460,7 @@ RunResult ClusterRuntime::finalize() {
   metrics_.gauge("pop.communication_efficiency")
       .set(pr.communication_efficiency);
   metrics_.gauge("pop.transfer_efficiency").set(pr.transfer_efficiency);
-  if (span_collector_ != nullptr) {
-    metrics_.counter("obs.rescues").inc(span_collector_->rescues());
-    metrics_.gauge("obs.transfer_wait_core_s")
-        .set(span_collector_->transfer_wait_core_seconds());
-  }
-  if (stream_sink_ != nullptr) {
-    metrics_.counter("obs.rescues").inc(stream_sink_->rescues());
-    metrics_.gauge("obs.transfer_wait_core_s")
-        .set(stream_sink_->transfer_wait_core_seconds());
-    // Close before snapshotting so the spill file (footer + trailer) is
-    // complete and the byte count final when the bench reads it.
-    stream_sink_->close();
-    metrics_.counter("stream.spans_spilled")
-        .inc(stream_sink_->spans_spilled());
-    metrics_.counter("stream.bytes_written")
-        .inc(stream_sink_->bytes_written());
-    metrics_.gauge("stream.peak_open_spans")
-        .set(static_cast<double>(stream_sink_->peak_open_spans()));
-  }
+  if (span_backend_ != nullptr) span_backend_->finish(metrics_);
   return result_;
 }
 
@@ -565,11 +539,10 @@ void ClusterRuntime::on_barrier_done() {
   m_.iteration_time->add(engine_.now() - last_barrier_time_);
   last_barrier_time_ = engine_.now();
   if (config_.obs.pop_windows) capture_pop_window(iteration);
-  if (stream_sink_ != nullptr) {
+  if (auto* stream = dynamic_cast<stream::StreamSink*>(span_backend_.get())) {
     // Windowed telemetry snapshot at the barrier epoch: cumulative engine
     // and spill counters, differenced by readers for per-window rates.
-    stream_sink_->metric_window(iteration, engine_.now(),
-                                engine_.events_fired());
+    stream->metric_window(iteration, engine_.now(), engine_.events_fired());
   }
 
   std::vector<double> apprank_times(
@@ -660,6 +633,16 @@ int ClusterRuntime::pick_worker(const nanos::Task& task) {
                           engine_.now());
   }
   return d.worker;
+}
+
+void ClusterRuntime::on_link_congestion(net::LinkId link, bool congested) {
+  const std::string& name = fabric_->topology().link(link).name;
+  recorder_->mark(engine_.now(),
+                  (congested ? "net congestion: " : "net cleared: ") + name,
+                  congested ? trace::MarkKind::NetCongestion
+                            : trace::MarkKind::NetCleared,
+                  link);
+  sink().link_congestion(link, name, congested, engine_.now());
 }
 
 void ClusterRuntime::on_task_ready(nanos::TaskId id) {

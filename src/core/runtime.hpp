@@ -174,14 +174,14 @@ class ClusterRuntime : private sched::RuntimeView {
   /// Null in streaming mode (obs.stream): rebuild the view post-run with
   /// stream::StreamReader on the spill file instead.
   [[nodiscard]] const obs::SpanCollector* spans() const {
-    return span_collector_.get();
+    return dynamic_cast<const obs::SpanCollector*>(span_backend_.get());
   }
 
   /// The bounded-memory streaming span backend, or nullptr unless
   /// RuntimeConfig::obs.stream.enabled. finalize() closes it (footer +
   /// trailer), after which the spill file is complete and readable.
   [[nodiscard]] const stream::StreamSink* stream_sink() const {
-    return stream_sink_.get();
+    return dynamic_cast<const stream::StreamSink*>(span_backend_.get());
   }
 
   /// TALP busy-core accounting (post-run inspection; the POP report's
@@ -387,6 +387,9 @@ class ClusterRuntime : private sched::RuntimeView {
   /// (§5.5's rule is the default "locality" policy). Emits a trace mark
   /// when the policy deviated from the locality baseline.
   [[nodiscard]] int pick_worker(const nanos::Task& task);
+  /// Fabric congestion observer: the recorder's typed mark, then the
+  /// span sink's instant.
+  void on_link_congestion(net::LinkId link, bool congested);
 
   // sched::RuntimeView (the window policies see; see also topology()/now()
   // above and usable() below).
@@ -456,13 +459,11 @@ class ClusterRuntime : private sched::RuntimeView {
   WorkerId add_helper(int apprank, int node);
 
   // Observability (tlb::obs).
-  /// The span sink lifecycle hooks emit into: the streaming backend when
-  /// config_.obs.stream.enabled, else the collector when
-  /// config_.obs.spans is set, else a shared no-op (one virtual call and
-  /// nothing else — the disabled path stays cheap and branch-free at the
-  /// call sites). Cached in active_sink_ at construction: exactly one
-  /// backend is live for the whole run.
-  [[nodiscard]] obs::SpanSink& sink() { return *active_sink_; }
+  /// The span sink lifecycle hooks emit into: the span backend when one
+  /// is configured, else a no-op (one virtual call and nothing else).
+  [[nodiscard]] obs::SpanSink& sink() {
+    return span_backend_ != nullptr ? *span_backend_ : null_sink_;
+  }
   void register_metrics();
 
   // Elastic scaling loop (tlb::elastic; scheduled only when
@@ -506,17 +507,13 @@ class ClusterRuntime : private sched::RuntimeView {
   std::vector<std::unique_ptr<dlb::DromModule>> drom_;
   std::unique_ptr<dlb::TalpModule> talp_;
   std::unique_ptr<trace::Recorder> recorder_;
-  /// Unified metrics registry (always on) and the per-task span collector
-  /// (config_.obs.spans only). Declared before fabric_/scheduler_, which
-  /// hold raw sink pointers into the collector.
+  /// Unified metrics registry (always on) and the per-task span backend:
+  /// a stream::StreamSink when config_.obs.stream.enabled, else an
+  /// obs::SpanCollector when config_.obs.spans, else null. Declared
+  /// before fabric_, whose congestion observer emits into it.
   obs::Registry metrics_;
-  std::unique_ptr<obs::SpanCollector> span_collector_;
-  /// Bounded-memory streaming backend (config_.obs.stream.enabled only):
-  /// supersedes the collector when both are requested.
-  std::unique_ptr<stream::StreamSink> stream_sink_;
+  std::unique_ptr<obs::SpanLifecycle> span_backend_;
   obs::SpanSink null_sink_;
-  /// Whichever of stream_sink_ / span_collector_ / null_sink_ is live.
-  obs::SpanSink* active_sink_ = &null_sink_;
   /// Cached registry handles for the hot counters incremented at the
   /// original RunResult call sites (no name lookup per event).
   struct MetricRefs {
@@ -540,8 +537,8 @@ class ClusterRuntime : private sched::RuntimeView {
     obs::Gauge* perfect_time = nullptr;
     obs::Histogram* iteration_time = nullptr;
   } m_;
-  /// Non-null iff config_.net.enabled (declared after recorder_: the
-  /// fabric holds a raw pointer to the recorder).
+  /// Non-null iff config_.net.enabled (declared after recorder_ and
+  /// span_backend_: its congestion observer writes to both).
   std::unique_ptr<net::Fabric> fabric_;
   /// Live link-utilization window over fabric_ for congestion-aware
   /// scheduling; non-null iff fabric_ is.

@@ -223,17 +223,7 @@ void Fabric::solve() {
         util >= congestion_threshold_ && crossing[sl] >= 2;
     if (congested != (congested_[sl] != 0)) {
       congested_[sl] = congested ? 1 : 0;
-      if (recorder_ != nullptr) {
-        recorder_->mark(now,
-                        (congested ? "net congestion: " : "net cleared: ") +
-                            topo_.link(l).name,
-                        congested ? trace::MarkKind::NetCongestion
-                                  : trace::MarkKind::NetCleared,
-                        l);
-      }
-      if (span_sink_ != nullptr) {
-        span_sink_->link_congestion(l, topo_.link(l).name, congested, now);
-      }
+      if (on_congestion_) on_congestion_(l, congested);
     }
   }
 }

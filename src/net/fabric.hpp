@@ -21,9 +21,9 @@
 // slows exactly the flows whose routes cross them.
 //
 // Observability: per-link utilization StepSeries, flow-completion-time
-// samples with quantiles (p50/p99), and — when a trace::Recorder is
-// attached — timeline marks at the instants a link becomes congested
-// (utilization >= threshold with >= 2 competing flows) and clears.
+// samples with quantiles (p50/p99), and — when an observer is attached —
+// a callback at the instants a link becomes congested (utilization >=
+// threshold with >= 2 competing flows) and clears.
 #pragma once
 
 #include <cstdint>
@@ -32,9 +32,7 @@
 #include <vector>
 
 #include "net/topology.hpp"
-#include "obs/span.hpp"
 #include "sim/engine.hpp"
-#include "trace/recorder.hpp"
 #include "trace/step_series.hpp"
 
 namespace tlb::net {
@@ -130,15 +128,16 @@ class Fabric {
     return solver_links_touched_;
   }
 
-  /// Attaches a recorder that receives "net congestion"/"net cleared"
-  /// timeline marks for links crossing `congestion_threshold`.
-  void set_recorder(trace::Recorder* recorder) { recorder_ = recorder; }
+  /// Called with (link, congested) each time a link crosses or clears
+  /// `congestion_threshold`. Observers must only record: never feed back
+  /// into flow rates or post engine events.
+  using CongestionObserver = std::function<void(LinkId, bool congested)>;
+  void set_congestion_observer(CongestionObserver observer) {
+    on_congestion_ = std::move(observer);
+  }
   void set_congestion_threshold(double threshold) {
     congestion_threshold_ = threshold;
   }
-  /// Attaches a span sink that receives link_congestion() transitions
-  /// (pure recording; never feeds back into flow rates).
-  void set_span_sink(obs::SpanSink* sink) { span_sink_ = sink; }
 
  private:
   struct Flow {
@@ -174,8 +173,7 @@ class Fabric {
   std::vector<double> last_util_;
   std::vector<char> congested_;
   double congestion_threshold_ = 0.95;
-  trace::Recorder* recorder_ = nullptr;
-  obs::SpanSink* span_sink_ = nullptr;
+  CongestionObserver on_congestion_;
   std::vector<double> fcts_;
   std::uint64_t started_ = 0;
   std::uint64_t completed_ = 0;

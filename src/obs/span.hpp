@@ -3,9 +3,12 @@
 // Every task gets a lifecycle record: created -> ready -> scheduled
 // (possibly steered or suppressed by the policy) -> offload-transfer
 // start/end -> execute start/end -> done, plus retries/rescues after
-// crashes or revoked leases. The runtime, scheduler and fabric emit these
-// through the SpanSink interface; the default sink is null (span
-// collection is off unless RuntimeConfig::obs.spans enables it).
+// crashes or revoked leases. The runtime emits these through the SpanSink
+// interface, including the scheduler's verdicts and the fabric's
+// congestion transitions; the default sink is null (span collection is
+// off unless RuntimeConfig::obs.spans or obs.stream enables it).
+// SpanLifecycle holds the lifecycle rules; SpanCollector (memory) and
+// stream::StreamSink (spill file) only store what it produces.
 //
 // Determinism contract: sinks only *record*. They must not schedule
 // simulator events, read RNGs, or otherwise feed back into the run; a run
@@ -60,11 +63,15 @@ class SpanSink {
                                bool /*congested*/, sim::SimTime /*t*/) {}
 };
 
-/// In-memory SpanSink: one TaskSpan per task (indexed by dense task id),
-/// one attempt record per execution, plus the instant-event streams
-/// (scheduler verdicts, congestion marks) the Chrome exporter renders as
-/// instants.
-class SpanCollector final : public SpanSink {
+class Registry;
+
+/// The span lifecycle rules, written once for every backend: first
+/// readiness only, one attempt per task_scheduled, the transfer-wait
+/// integral folded in at exec_begin, and the rescue, scheduler-verdict and
+/// congestion instants. A backend decides only where spans are kept and
+/// where a finished span or an instant goes (the four protected hooks).
+/// Every other hook presumes task_created already ran for the task.
+class SpanLifecycle : public SpanSink {
  public:
   /// One execution attempt of a task. Times are -1 until observed.
   struct Attempt {
@@ -94,6 +101,61 @@ class SpanCollector final : public SpanSink {
       return attempts.empty() ? nullptr : &attempts.back();
     }
   };
+
+  void task_created(nanos::TaskId id, int apprank, sim::SimTime t) final;
+  void task_ready(nanos::TaskId id, sim::SimTime t) final;
+  void task_scheduled(nanos::TaskId id, int worker, int node, bool offloaded,
+                      sim::SimTime t) final;
+  void sched_decision(nanos::TaskId id, SchedVerdict verdict, int worker,
+                      sim::SimTime t) final;
+  void transfer_begin(nanos::TaskId id, std::uint64_t bytes, int node,
+                      sim::SimTime t) final;
+  void transfer_end(nanos::TaskId id, sim::SimTime t) final;
+  void exec_begin(nanos::TaskId id, int worker, int node, int core,
+                  sim::SimTime t) final;
+  void exec_end(nanos::TaskId id, sim::SimTime t) final;
+  void task_done(nanos::TaskId id, sim::SimTime t) final;
+  void task_rescued(nanos::TaskId id, int worker, sim::SimTime t) final;
+  void link_congestion(int link, const std::string& name, bool congested,
+                       sim::SimTime t) final;
+
+  // Aggregates maintained as events arrive (consumed by obs::pop_report).
+  /// Core-seconds spent occupied-but-not-busy waiting on input transfers
+  /// (transfer_end - exec claim, approximated by transfer windows).
+  [[nodiscard]] double transfer_wait_core_seconds() const {
+    return transfer_wait_;
+  }
+  [[nodiscard]] std::uint64_t rescues() const { return rescues_; }
+
+  /// Spans held in memory right now (the prof open-spans gauge).
+  [[nodiscard]] virtual std::size_t resident_spans() const = 0;
+  /// End of run: records the aggregates in `metrics` (obs.rescues,
+  /// obs.transfer_wait_core_s); backends with output to complete extend it.
+  virtual void finish(Registry& metrics);
+
+ protected:
+  /// The span of `id`, created empty on first use.
+  virtual TaskSpan& span_of(nanos::TaskId id) = 0;
+  /// The span of `id`, or null when the backend does not hold it.
+  virtual TaskSpan* find_span(nanos::TaskId id) = 0;
+  /// task_done stamped `span`; the backend may release it on return.
+  virtual void finished(TaskSpan& span) = 0;
+  /// An instant event, in emission order (node -1 = cluster-scoped).
+  virtual void instant(sim::SimTime t, std::string name, int node) = 0;
+
+  double transfer_wait_ = 0.0;
+  std::uint64_t rescues_ = 0;
+
+ private:
+  [[nodiscard]] Attempt& open_attempt(nanos::TaskId id);
+};
+
+/// In-memory backend: one TaskSpan per task (indexed by dense task id),
+/// one attempt record per execution, plus the instant-event streams
+/// (scheduler verdicts, congestion marks) the Chrome exporter renders as
+/// instants.
+class SpanCollector final : public SpanLifecycle {
+ public:
   struct InstantEvent {
     sim::SimTime t = 0.0;
     std::string name;
@@ -102,29 +164,15 @@ class SpanCollector final : public SpanSink {
 
   ~SpanCollector() override;
 
-  void task_created(nanos::TaskId id, int apprank, sim::SimTime t) override;
-  void task_ready(nanos::TaskId id, sim::SimTime t) override;
-  void task_scheduled(nanos::TaskId id, int worker, int node, bool offloaded,
-                      sim::SimTime t) override;
-  void sched_decision(nanos::TaskId id, SchedVerdict verdict, int worker,
-                      sim::SimTime t) override;
-  void transfer_begin(nanos::TaskId id, std::uint64_t bytes, int node,
-                      sim::SimTime t) override;
-  void transfer_end(nanos::TaskId id, sim::SimTime t) override;
-  void exec_begin(nanos::TaskId id, int worker, int node, int core,
-                  sim::SimTime t) override;
-  void exec_end(nanos::TaskId id, sim::SimTime t) override;
-  void task_done(nanos::TaskId id, sim::SimTime t) override;
-  void task_rescued(nanos::TaskId id, int worker, sim::SimTime t) override;
-  void link_congestion(int link, const std::string& name, bool congested,
-                       sim::SimTime t) override;
-
   [[nodiscard]] const std::vector<TaskSpan>& spans() const { return spans_; }
   [[nodiscard]] const TaskSpan& span(nanos::TaskId id) const {
     return spans_.at(static_cast<std::size_t>(id));
   }
   [[nodiscard]] const std::vector<InstantEvent>& instants() const {
     return instants_;
+  }
+  [[nodiscard]] std::size_t resident_spans() const override {
+    return spans_.size();
   }
 
   // --- restore hooks (tlb::stream) ------------------------------------------
@@ -145,22 +193,14 @@ class SpanCollector final : public SpanSink {
     rescues_ = rescues;
   }
 
-  // Aggregates maintained as events arrive (consumed by obs::pop_report).
-  /// Core-seconds spent occupied-but-not-busy waiting on input transfers
-  /// (transfer_end - exec claim, approximated by transfer windows).
-  [[nodiscard]] double transfer_wait_core_seconds() const {
-    return transfer_wait_;
-  }
-  [[nodiscard]] std::uint64_t rescues() const { return rescues_; }
-
  private:
-  TaskSpan& at(nanos::TaskId id);
-  [[nodiscard]] Attempt& open_attempt(nanos::TaskId id);
+  TaskSpan& span_of(nanos::TaskId id) override;
+  TaskSpan* find_span(nanos::TaskId id) override;
+  void finished(TaskSpan& /*span*/) override {}
+  void instant(sim::SimTime t, std::string name, int node) override;
 
   std::vector<TaskSpan> spans_;
   std::vector<InstantEvent> instants_;
-  double transfer_wait_ = 0.0;
-  std::uint64_t rescues_ = 0;
 };
 
 }  // namespace tlb::obs

@@ -7,37 +7,50 @@
 namespace tlb::sim {
 
 EventId EventQueue::push(SimTime t, Callback cb) {
-  const EventId id = next_id_++;
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slot_gen_.size());
+    slot_gen_.push_back(1);
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  const std::uint32_t gen = slot_gen_[slot];
+  Entry e{t, next_seq_++, slot, gen, std::move(cb)};
   ++live_;
   // Charged per physical entry; released in pop()/skip_cancelled()/dtor.
   prof::alloc_note(prof::AllocTag::SimEvent, sizeof(Entry));
   if (bucket_has_entry() && t == bucket_time_) {
-    // Extend the in-flight same-time batch; ids stay increasing, so
+    // Extend the in-flight same-time batch; seqs stay increasing, so
     // front-to-back consumption is FIFO.
-    bucket_.push_back(Entry{t, id, std::move(cb)});
+    bucket_.push_back(std::move(e));
   } else if (!bucket_has_entry() && t == last_popped_) {
     // after(0)-style push at the current instant: open a fresh batch
     // instead of paying a heap sift. Any same-time entries already in the
-    // heap were pushed earlier (smaller id) and win the merge in pop().
+    // heap were pushed earlier (smaller seq) and win the merge in pop().
     bucket_.clear();
     bucket_head_ = 0;
     bucket_time_ = t;
-    bucket_.push_back(Entry{t, id, std::move(cb)});
+    bucket_.push_back(std::move(e));
   } else {
-    heap_push(Entry{t, id, std::move(cb)});
+    heap_push(std::move(e));
   }
-  return id;
+  return (EventId{gen} << 32) | slot;
 }
 
 void EventQueue::cancel(EventId id) {
-  if (id == kInvalidEvent) return;
-  // Only mark as cancelled if the id plausibly refers to a queued event.
-  // Firing removes ids lazily, so a stale cancel of a fired event would leak
-  // an entry in cancelled_; bounded by checking against issued range.
-  if (id >= next_id_) return;
-  if (cancelled_.insert(id).second && live_ > 0) {
-    --live_;
-  }
+  const auto slot = static_cast<std::uint32_t>(id);
+  const auto gen = static_cast<std::uint32_t>(id >> 32);
+  // A fired or cancelled event's slot has moved to a newer generation
+  // (kInvalidEvent carries generation 0, which is never issued).
+  if (slot >= slot_gen_.size() || slot_gen_[slot] != gen) return;
+  release(slot);
+  --live_;
+}
+
+void EventQueue::release(std::uint32_t slot) {
+  if (++slot_gen_[slot] == 0) slot_gen_[slot] = 1;
+  free_slots_.push_back(slot);
 }
 
 void EventQueue::heap_push(Entry e) {
@@ -75,17 +88,11 @@ void EventQueue::heap_pop_root() {
 }
 
 void EventQueue::skip_cancelled() {
-  while (!heap_.empty()) {
-    auto it = cancelled_.find(heap_.front().id);
-    if (it == cancelled_.end()) break;
-    cancelled_.erase(it);
+  while (!heap_.empty() && !live(heap_.front())) {
     prof::free_note(prof::AllocTag::SimEvent, sizeof(Entry));
     heap_pop_root();
   }
-  while (bucket_has_entry()) {
-    auto it = cancelled_.find(bucket_[bucket_head_].id);
-    if (it == cancelled_.end()) break;
-    cancelled_.erase(it);
+  while (bucket_has_entry() && !live(bucket_[bucket_head_])) {
     prof::free_note(prof::AllocTag::SimEvent, sizeof(Entry));
     bucket_[bucket_head_].cb = nullptr;  // release captures eagerly
     ++bucket_head_;
@@ -119,6 +126,7 @@ std::pair<SimTime, EventQueue::Callback> EventQueue::pop() {
       (!heap_ok || earlier(bucket_[bucket_head_], heap_.front()))) {
     Entry& e = bucket_[bucket_head_];
     ++bucket_head_;
+    release(e.slot);
     last_popped_ = e.time;
     Callback cb = std::move(e.cb);
     if (!bucket_has_entry()) {
@@ -127,6 +135,7 @@ std::pair<SimTime, EventQueue::Callback> EventQueue::pop() {
     }
     return {last_popped_, std::move(cb)};
   }
+  release(heap_.front().slot);
   last_popped_ = heap_.front().time;
   Callback cb = std::move(heap_.front().cb);
   heap_pop_root();

@@ -12,9 +12,14 @@
 //  - a same-timestamp FIFO bucket: events pushed at exactly the current
 //    time (after(0) cascades, e.g. fabric re-solves and ready-task
 //    wakeups) append to a flat batch consumed front-to-back in O(1)
-//    instead of churning the heap. Bucket entries always carry larger ids
-//    than same-time heap entries (they were pushed later), so the
-//    (time, id) merge in pop() preserves exact FIFO order.
+//    instead of churning the heap. Bucket entries always carry larger
+//    sequence numbers than same-time heap entries (they were pushed
+//    later), so the (time, seq) merge in pop() preserves exact FIFO order;
+//  - a free-listed slot table for cancellation: every queued entry holds
+//    a slot, and its EventId encodes (slot, generation). Firing or
+//    cancelling bumps the slot's generation, so a handle that outlived
+//    its event no longer matches and cancel() ignores it. Cancelled
+//    entries stay in the heap/bucket until they surface and are skipped.
 //
 // The observable pop order is bit-identical to the legacy
 // std::priority_queue implementation; golden-fingerprint tests pin this.
@@ -22,7 +27,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "prof/prof.hpp"
@@ -31,6 +35,8 @@
 namespace tlb::sim {
 
 /// Opaque handle identifying a scheduled event; usable for cancellation.
+/// Encodes (generation << 32) | slot; generations start at 1, so no
+/// issued handle equals kInvalidEvent.
 using EventId = std::uint64_t;
 
 /// Invalid/empty event handle.
@@ -78,13 +84,21 @@ class EventQueue {
  private:
   struct Entry {
     SimTime time;
-    EventId id;
+    std::uint64_t seq;  ///< insertion order
+    std::uint32_t slot;
+    std::uint32_t gen;  ///< the slot's generation when pushed
     Callback cb;
   };
   static bool earlier(const Entry& a, const Entry& b) noexcept {
     if (a.time != b.time) return a.time < b.time;
-    return a.id < b.id;  // FIFO for equal timestamps
+    return a.seq < b.seq;  // FIFO for equal timestamps
   }
+  /// False once the entry fired or was cancelled.
+  [[nodiscard]] bool live(const Entry& e) const {
+    return slot_gen_[e.slot] == e.gen;
+  }
+  /// Retires the slot's current handle and returns the slot for reuse.
+  void release(std::uint32_t slot);
 
   void heap_push(Entry e);
   /// Removes the heap root (heap_[0]); the caller has already moved its
@@ -103,8 +117,10 @@ class EventQueue {
   std::size_t bucket_head_ = 0;
   SimTime bucket_time_ = 0.0;
   SimTime last_popped_ = 0.0;
-  std::unordered_set<EventId> cancelled_;
-  EventId next_id_ = 1;
+  /// Current generation per slot; an entry is live iff its gen matches.
+  std::vector<std::uint32_t> slot_gen_;
+  std::vector<std::uint32_t> free_slots_;
+  std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;
 };
 

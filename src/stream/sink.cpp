@@ -1,10 +1,10 @@
 #include "stream/sink.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 #include <stdexcept>
 
+#include "obs/metrics.hpp"
 #include "prof/prof.hpp"
 
 namespace tlb::stream {
@@ -61,9 +61,9 @@ void StreamSink::flush_if_full() {
   buffer_.clear();
 }
 
-// --- span bookkeeping (SpanCollector-equivalent) ------------------------------
+// --- span storage: the open working set -------------------------------------
 
-auto StreamSink::at(nanos::TaskId id) -> TaskSpan& {
+auto StreamSink::span_of(nanos::TaskId id) -> TaskSpan& {
   const std::size_t before = open_.size();
   TaskSpan& s = open_[id];
   if (open_.size() != before) {
@@ -75,106 +75,24 @@ auto StreamSink::at(nanos::TaskId id) -> TaskSpan& {
   return s;
 }
 
-auto StreamSink::open_attempt(nanos::TaskId id) -> Attempt* {
+auto StreamSink::find_span(nanos::TaskId id) -> TaskSpan* {
   auto it = open_.find(id);
-  assert(it != open_.end() && "attempt events on a closed/unknown span");
-  assert(!it->second.attempts.empty() &&
-         "attempt events before task_scheduled");
-  return &it->second.attempts.back();
+  return it == open_.end() ? nullptr : &it->second;
 }
 
-void StreamSink::task_created(nanos::TaskId id, int apprank, sim::SimTime t) {
-  TaskSpan& s = at(id);
-  s.id = id;
-  s.apprank = apprank;
-  s.created_at = t;
+void StreamSink::finished(TaskSpan& span) {
+  spill_span(span);
+  open_.erase(span.id);
 }
 
-void StreamSink::task_ready(nanos::TaskId id, sim::SimTime t) {
-  TaskSpan& s = at(id);
-  // First readiness only — a rescue's re-queue keeps the original edge
-  // (same rule as SpanCollector::task_ready).
-  if (s.ready_at < 0.0) s.ready_at = t;
-}
-
-void StreamSink::task_scheduled(nanos::TaskId id, int worker, int node,
-                                bool offloaded, sim::SimTime t) {
-  Attempt a;
-  a.worker = worker;
-  a.node = node;
-  a.offloaded = offloaded;
-  a.scheduled_at = t;
-  prof::alloc_note(prof::AllocTag::ObsSpan, sizeof(Attempt));
-  at(id).attempts.push_back(a);
-}
-
-void StreamSink::sched_decision(nanos::TaskId id, obs::SchedVerdict verdict,
-                                int worker, sim::SimTime t) {
-  at(id).verdict = verdict;
-  if (verdict == obs::SchedVerdict::Baseline) return;
-  spill_instant(t,
-                (verdict == obs::SchedVerdict::Steered
-                     ? "sched steer task "
-                     : "sched suppress task ") +
-                    std::to_string(id),
-                worker);
-}
-
-void StreamSink::transfer_begin(nanos::TaskId id, std::uint64_t bytes,
-                                int node, sim::SimTime t) {
-  Attempt* a = open_attempt(id);
-  a->transfer_start = t;
-  a->transfer_bytes = bytes;
-  (void)node;
-}
-
-void StreamSink::transfer_end(nanos::TaskId id, sim::SimTime t) {
-  open_attempt(id)->transfer_end = t;
-}
-
-void StreamSink::exec_begin(nanos::TaskId id, int worker, int node, int core,
-                            sim::SimTime t) {
-  Attempt* a = open_attempt(id);
-  a->worker = worker;
-  a->node = node;
-  a->core = core;
-  a->exec_start = t;
-  // Same accumulation rule as the collector: a transfer with both edges
-  // observed stalled the pipeline up to exec_start at most.
-  if (a->transfer_start >= 0.0 && a->transfer_end >= 0.0) {
-    transfer_wait_ +=
-        std::max(0.0, std::min(a->transfer_end, t) - a->transfer_start);
-  }
-}
-
-void StreamSink::exec_end(nanos::TaskId id, sim::SimTime t) {
-  open_attempt(id)->exec_end = t;
-}
-
-void StreamSink::task_done(nanos::TaskId id, sim::SimTime t) {
-  TaskSpan& s = at(id);
-  s.done_at = t;
-  spill_span(s);
-  prof::free_note(prof::AllocTag::ObsSpan,
-                  sizeof(TaskSpan) + s.attempts.size() * sizeof(Attempt));
-  open_.erase(id);
-  ++spans_spilled_;
-}
-
-void StreamSink::task_rescued(nanos::TaskId id, int worker, sim::SimTime t) {
-  auto it = open_.find(id);
-  if (it != open_.end() && !it->second.attempts.empty()) {
-    it->second.attempts.back().rescued = true;
-  }
-  ++rescues_;
-  spill_instant(t, "rescue task " + std::to_string(id), worker);
-}
-
-void StreamSink::link_congestion(int link, const std::string& name,
-                                 bool congested, sim::SimTime t) {
-  (void)link;
-  spill_instant(
-      t, (congested ? "net congestion: " : "net cleared: ") + name, -1);
+void StreamSink::instant(sim::SimTime t, std::string name, int node) {
+  begin_record(RecordType::Instant);
+  put_f64(t);
+  put_i32(node);
+  put_u32(static_cast<std::uint32_t>(name.size()));
+  put_bytes(name.data(), name.size());
+  end_record();
+  ++instants_written_;
 }
 
 // --- serialization ------------------------------------------------------------
@@ -203,17 +121,9 @@ void StreamSink::spill_span(const TaskSpan& span) {
     put_u8(a.rescued ? 1 : 0);
   }
   end_record();
-}
-
-void StreamSink::spill_instant(sim::SimTime t, const std::string& name,
-                               int node) {
-  begin_record(RecordType::Instant);
-  put_f64(t);
-  put_i32(node);
-  put_u32(static_cast<std::uint32_t>(name.size()));
-  put_bytes(name.data(), name.size());
-  end_record();
-  ++instants_written_;
+  prof::free_note(prof::AllocTag::ObsSpan,
+                  sizeof(TaskSpan) + span.attempts.size() * sizeof(Attempt));
+  ++spans_spilled_;
 }
 
 void StreamSink::metric_window(int epoch, sim::SimTime t_end,
@@ -238,16 +148,8 @@ void StreamSink::close() {
 
   // Spill whatever never finished (id order: open_ is an ordered map).
   // Their done_at stays -1, same as an unfinished span in the collector.
-  std::uint64_t open_count = 0;
-  for (const auto& [id, span] : open_) {
-    (void)id;
-    spill_span(span);
-    prof::free_note(
-        prof::AllocTag::ObsSpan,
-        sizeof(TaskSpan) + span.attempts.size() * sizeof(Attempt));
-    ++spans_spilled_;
-    ++open_count;
-  }
+  const std::uint64_t open_count = open_.size();
+  for (const auto& entry : open_) spill_span(entry.second);
   open_.clear();
 
   const std::uint64_t footer_offset = bytes_written_;
@@ -275,6 +177,17 @@ void StreamSink::close() {
     std::fclose(file_);
     file_ = nullptr;
   }
+}
+
+void StreamSink::finish(obs::Registry& metrics) {
+  obs::SpanLifecycle::finish(metrics);
+  // Close before snapshotting so the spill file (footer + trailer) is
+  // complete and the byte count final when the bench reads it.
+  close();
+  metrics.counter("stream.spans_spilled").inc(spans_spilled_);
+  metrics.counter("stream.bytes_written").inc(bytes_written_);
+  metrics.gauge("stream.peak_open_spans")
+      .set(static_cast<double>(peak_open_));
 }
 
 }  // namespace tlb::stream

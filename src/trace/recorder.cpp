@@ -5,9 +5,10 @@
 
 namespace tlb::trace {
 
-Recorder::Recorder(int nodes, int appranks)
+Recorder::Recorder(int nodes, int appranks, bool timeline)
     : nodes_(nodes),
       appranks_(appranks),
+      timeline_(timeline),
       busy_(static_cast<std::size_t>(nodes) * static_cast<std::size_t>(appranks)),
       owned_(static_cast<std::size_t>(nodes) * static_cast<std::size_t>(appranks)),
       node_busy_(static_cast<std::size_t>(nodes)) {
@@ -24,11 +25,13 @@ void Recorder::add_node() {
 }
 
 void Recorder::busy_delta(sim::SimTime t, int node, int apprank, int delta) {
+  if (!timeline_) return;
   busy_[idx(node, apprank)].add(t, delta);
   node_busy_[static_cast<std::size_t>(node)].add(t, delta);
 }
 
 void Recorder::set_owned(sim::SimTime t, int node, int apprank, int count) {
+  if (!timeline_) return;
   owned_[idx(node, apprank)].set(t, count);
 }
 
@@ -44,6 +47,7 @@ void Recorder::task_executed(int apprank, int node, int home_node,
 }
 
 void Recorder::mark(sim::SimTime t, std::string label) {
+  if (!timeline_) return;
   assert(marks_.empty() || t >= marks_.back().first);
   if (!marks_.empty() && t < marks_.back().first) t = marks_.back().first;
   marks_.emplace_back(t, std::move(label));
@@ -51,6 +55,7 @@ void Recorder::mark(sim::SimTime t, std::string label) {
 
 void Recorder::mark(sim::SimTime t, std::string label, MarkKind kind,
                     std::int64_t value) {
+  if (!timeline_) return;
   mark(t, std::move(label));
   typed_marks_.push_back(TypedMark{marks_.back().first, kind, value});
 }

@@ -36,7 +36,9 @@ struct TypedMark {
 
 class Recorder {
  public:
-  Recorder(int nodes, int appranks);
+  /// With `timeline` false the recorder keeps only the offload counters:
+  /// busy/owned series and marks are dropped as they arrive.
+  Recorder(int nodes, int appranks, bool timeline = true);
 
   [[nodiscard]] int nodes() const { return nodes_; }
   [[nodiscard]] int appranks() const { return appranks_; }
@@ -91,6 +93,7 @@ class Recorder {
 
   int nodes_;
   int appranks_;
+  bool timeline_;
   std::vector<StepSeries> busy_;
   std::vector<StepSeries> owned_;
   std::vector<StepSeries> node_busy_;

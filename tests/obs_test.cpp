@@ -8,6 +8,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -546,6 +547,99 @@ TEST(Spans, NetModeRecordsTransfersAndCongestionInstants) {
   }
   EXPECT_TRUE(saw_transfer);
   EXPECT_GT(rt.spans()->transfer_wait_core_seconds(), 0.0);
+}
+
+// An oversubscribed fat-tree with heavy task inputs: links cross and clear
+// the congestion threshold many times during the run.
+core::RuntimeConfig congested_config() {
+  core::RuntimeConfig cfg = net_config();
+  cfg.cluster = sim::ClusterSpec::homogeneous(8, 4);
+  cfg.degree = 3;
+  cfg.net.uplink_bandwidth = 2e8;
+  return cfg;
+}
+
+apps::SyntheticConfig congested_workload() {
+  apps::SyntheticConfig cfg = net_workload();
+  cfg.appranks = 8;
+  cfg.iterations = 3;
+  cfg.tasks_per_rank = 40;
+  cfg.imbalance = 2.5;
+  cfg.bytes_per_task = 4 << 20;
+  return cfg;
+}
+
+// The fabric reports each congestion transition once; the runtime hands it
+// to both the recorder and the span sink, which must list the same
+// (time, transition, link) sequence.
+TEST(Spans, CongestionInstantsMatchRecorderTypedMarks) {
+  core::RuntimeConfig cfg = congested_config();
+  cfg.obs.spans = true;
+  apps::SyntheticWorkload wl(congested_workload());
+  core::ClusterRuntime rt(cfg);
+  rt.run(wl);
+  ASSERT_NE(rt.spans(), nullptr);
+  ASSERT_NE(rt.fabric(), nullptr);
+
+  using Transition = std::tuple<double, bool, std::string>;
+  std::vector<Transition> from_marks;
+  for (const trace::TypedMark& m : rt.recorder().typed_marks()) {
+    if (m.kind != trace::MarkKind::NetCongestion &&
+        m.kind != trace::MarkKind::NetCleared) {
+      continue;
+    }
+    from_marks.emplace_back(
+        m.t, m.kind == trace::MarkKind::NetCongestion,
+        rt.fabric()->topology().link(static_cast<net::LinkId>(m.value)).name);
+  }
+  std::vector<Transition> from_instants;
+  for (const auto& e : rt.spans()->instants()) {
+    for (const bool congested : {true, false}) {
+      const std::string prefix =
+          congested ? "net congestion: " : "net cleared: ";
+      if (e.name.rfind(prefix, 0) == 0) {
+        from_instants.emplace_back(e.t, congested,
+                                   e.name.substr(prefix.size()));
+      }
+    }
+  }
+  ASSERT_FALSE(from_marks.empty()) << "the run never congested a link";
+  EXPECT_EQ(from_instants, from_marks);
+}
+
+// record_traces = false drops the busy/owned series and the marks but
+// keeps the schedule and the offload counters RunResult reports.
+TEST(ObsDeterminism, RecordTracesOffKeepsCountersAndDropsTheTimeline) {
+  core::RuntimeConfig cfg = congested_config();
+  apps::SyntheticWorkload wl_on(congested_workload());
+  core::ClusterRuntime on(cfg);
+  const auto r_on = on.run(wl_on);
+
+  cfg.record_traces = false;
+  apps::SyntheticWorkload wl_off(congested_workload());
+  core::ClusterRuntime off(cfg);
+  const auto r_off = off.run(wl_off);
+
+  EXPECT_EQ(schedule_fingerprint(off, r_off), schedule_fingerprint(on, r_on));
+  EXPECT_GT(r_on.tasks_offloaded, 0u);
+  EXPECT_EQ(r_off.tasks_total, r_on.tasks_total);
+  EXPECT_EQ(r_off.tasks_offloaded, r_on.tasks_offloaded);
+  EXPECT_EQ(r_off.work_total, r_on.work_total);
+  EXPECT_EQ(r_off.work_offloaded, r_on.work_offloaded);
+
+  // The traced run has a timeline to drop.
+  ASSERT_FALSE(on.recorder().marks().empty());
+  ASSERT_FALSE(on.recorder().node_busy(0).empty());
+  const trace::Recorder& rec = off.recorder();
+  EXPECT_TRUE(rec.marks().empty());
+  EXPECT_TRUE(rec.typed_marks().empty());
+  for (int n = 0; n < rec.nodes(); ++n) {
+    EXPECT_TRUE(rec.node_busy(n).empty());
+    for (int a = 0; a < rec.appranks(); ++a) {
+      EXPECT_TRUE(rec.busy(n, a).empty());
+      EXPECT_TRUE(rec.owned(n, a).empty());
+    }
+  }
 }
 
 }  // namespace

@@ -65,6 +65,32 @@ TEST(EventQueue, NextTimeSkipsCancelled) {
   EXPECT_DOUBLE_EQ(q.next_time(), 5.0);
 }
 
+TEST(EventQueue, CancelAfterFireIsHarmless) {
+  EventQueue q;
+  int fired = 0;
+  const EventId a = q.push(1.0, [&] { ++fired; });
+  q.push(2.0, [&] { ++fired; });
+  q.pop().second();
+  q.cancel(a);  // already fired
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_FALSE(q.empty());
+  while (!q.empty()) q.pop().second();
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(EventQueue, StaleHandleSparesTheEventReusingItsSlot) {
+  EventQueue q;
+  const EventId a = q.push(1.0, [] {});
+  q.pop();
+  int fired = 0;
+  const EventId b = q.push(2.0, [&] { ++fired; });
+  EXPECT_NE(a, b);
+  q.cancel(a);
+  EXPECT_EQ(q.size(), 1u);
+  while (!q.empty()) q.pop().second();
+  EXPECT_EQ(fired, 1);
+}
+
 TEST(Engine, NowAdvancesToEventTime) {
   Engine e;
   double seen = -1.0;
@@ -109,6 +135,17 @@ TEST(Engine, RunUntilRespectsHorizon) {
   EXPECT_DOUBLE_EQ(e.now(), 2.0);
   e.run();
   EXPECT_EQ(fired, 2);
+}
+
+TEST(Engine, EventCancellingItsOwnIdDoesNotEndTheRun) {
+  Engine e;
+  EventId self = kInvalidEvent;
+  bool later_fired = false;
+  self = e.at(1.0, [&] { e.cancel(self); });
+  e.at(2.0, [&] { later_fired = true; });
+  e.run();
+  EXPECT_TRUE(later_fired);
+  EXPECT_EQ(e.events_fired(), 2u);
 }
 
 TEST(Engine, EventsFiredCounter) {

@@ -17,6 +17,8 @@
 
 #include "apps/synthetic.hpp"
 #include "core/runtime.hpp"
+#include "fault/injector.hpp"
+#include "fault/plan.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/flame.hpp"
@@ -150,22 +152,38 @@ TEST(StreamDeterminism, KeepsNetScheduleBitIdentical) {
 
 // --- exporter equivalence ----------------------------------------------------
 
-// The whole point of the reader: every existing exporter must see the
-// same run through a reconstructed spill as through the live collector.
-TEST(StreamEquivalence, ExportersMatchCollectorByteForByte) {
-  // Collector run.
-  core::RuntimeConfig ccfg = net_config();
+/// One input of the equivalence check: a run config, its workload and an
+/// optional helper crash (the second worker of apprank 0, at `crash_at`).
+struct EquivalenceCase {
+  core::RuntimeConfig cfg;
+  apps::SyntheticConfig workload;
+  double crash_at = -1.0;
+};
+
+core::RunResult run_case(core::ClusterRuntime& rt, const EquivalenceCase& c) {
+  apps::SyntheticWorkload wl(c.workload);
+  fault::FaultPlan plan;
+  if (c.crash_at >= 0.0) {
+    plan.crash_worker(rt.topology().workers_of_apprank(0)[1], c.crash_at);
+  }
+  fault::FaultInjector injector(plan);
+  if (c.crash_at >= 0.0) injector.attach(rt);
+  return rt.run(wl);
+}
+
+/// Runs the case once into the collector and once into the stream
+/// backend: every exporter must see the same run through the
+/// reconstructed spill as through the live collector.
+void expect_exporters_match(const EquivalenceCase& c, const char* name) {
+  core::RuntimeConfig ccfg = c.cfg;
   ccfg.obs.spans = true;
-  apps::SyntheticWorkload cwl(net_workload());
   core::ClusterRuntime crt(ccfg);
-  const auto cr = crt.run(cwl);
+  const auto cr = run_case(crt, c);
   ASSERT_NE(crt.spans(), nullptr);
 
-  // Identical run, stream backend.
-  const std::string path = spill_path("equivalence");
-  apps::SyntheticWorkload swl(net_workload());
-  core::ClusterRuntime srt(with_stream(net_config(), path));
-  const auto sr = srt.run(swl);
+  const std::string path = spill_path(name);
+  core::ClusterRuntime srt(with_stream(c.cfg, path));
+  const auto sr = run_case(srt, c);
   ASSERT_EQ(sr.makespan, cr.makespan);
 
   const stream::StreamReader reader(path);
@@ -192,7 +210,34 @@ TEST(StreamEquivalence, ExportersMatchCollectorByteForByte) {
   EXPECT_EQ(from_file.rescues(), live.rescues());
   EXPECT_EQ(from_file.spans().size(), live.spans().size());
   EXPECT_EQ(from_file.instants().size(), live.instants().size());
+  if (c.crash_at >= 0.0) {
+    // Not vacuous: the crash case really carries rescues and instants.
+    EXPECT_GT(live.rescues(), 0u);
+    EXPECT_FALSE(live.instants().empty());
+  }
   std::remove(path.c_str());
+}
+
+// The whole point of the reader: every existing exporter must see the
+// same run through a reconstructed spill as through the live collector.
+TEST(StreamEquivalence, ExportersMatchCollectorByteForByte) {
+  expect_exporters_match({net_config(), net_workload()}, "equivalence");
+
+  // Heartbeat detection, a helper crashing mid-run and the congestion
+  // policy on an oversubscribed fat-tree: rescue, steer/suppress and
+  // congestion instants plus ghost executions go through both backends.
+  EquivalenceCase faulty{net_config(), net_workload(), 0.5};
+  faulty.cfg.cluster = sim::ClusterSpec::homogeneous(8, 4);
+  faulty.cfg.degree = 3;
+  faulty.cfg.net.uplink_bandwidth = 2e8;
+  faulty.cfg.sched.policy = "congestion";
+  faulty.cfg.resil.detection = resil::DetectionMode::Heartbeat;
+  faulty.workload.appranks = 8;
+  faulty.workload.iterations = 3;
+  faulty.workload.tasks_per_rank = 40;
+  faulty.workload.imbalance = 2.5;
+  faulty.workload.bytes_per_task = 4 << 20;
+  expect_exporters_match(faulty, "equivalence_faults");
 }
 
 // --- bounded working set -----------------------------------------------------
@@ -205,7 +250,7 @@ TEST(StreamSinkMemory, WorkingSetBoundedByInFlightTasks) {
   const stream::StreamSink* sink = rt.stream_sink();
   ASSERT_NE(sink, nullptr);
   // Everything finished: nothing resident, every span on disk.
-  EXPECT_EQ(sink->open_spans(), 0u);
+  EXPECT_EQ(sink->resident_spans(), 0u);
   EXPECT_EQ(sink->spans_spilled(),
             static_cast<std::uint64_t>(r.tasks_total));
   // The high-water mark is the in-flight task count, not the total: a
