@@ -22,14 +22,17 @@
 // 64-node scale point is comparable with that number, so only it reports
 // events_per_sec_vs_seed (other rows print "-"). With TLB_PROF=1 every
 // scale point additionally reports solver_wall_share,
-// alloc_bytes_per_task, and per-subsystem byte attribution from the
-// src/prof self-profiler (windowed per point). The max-min solve
+// alloc_bytes_per_task, pushes_per_event (event-queue pushes per fired
+// event; the fabric keeps one completion event, so this stays near 1), and
+// per-subsystem byte attribution from the src/prof self-profiler
+// (windowed per point). The max-min solve
 // dominates wall time on the 4-spine fat-tree (see solver_flows_touched
 // and EXPERIMENTS.md Fig 17). Simulated results are deterministic; only
 // wall-clock columns vary between hosts.
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <string_view>
 
 #include "apps/synthetic.hpp"
 #include "bench/common.hpp"
@@ -118,6 +121,7 @@ struct RunSample {
   double solver_wall_share = 0.0;       ///< total_ns("net.solve") / window wall
   double prof_unattributed_share = 0.0; ///< 1 - attributed/wall (acceptance <5%)
   double alloc_bytes_per_task = 0.0;    ///< sum of per-tag peaks / total tasks
+  double pushes_per_event = 0.0;        ///< sim.event allocations / fired
   std::uint64_t prof_snapshots = 0;
   std::vector<prof::TagStats> alloc_peaks;  ///< per-tag, for the RSS breakdown
 };
@@ -175,7 +179,14 @@ RunSample run_once(int nodes, int tasks_per_rank, Telemetry telemetry,
     s.prof_snapshots = p.snapshots().size();
     s.alloc_peaks = p.alloc_stats();
     std::int64_t peak_sum = 0;
-    for (const auto& t : s.alloc_peaks) peak_sum += t.peak_bytes;
+    for (const auto& t : s.alloc_peaks) {
+      peak_sum += t.peak_bytes;
+      if (std::string_view(t.tag) == "sim.event" &&
+          s.result.events_fired > 0) {
+        s.pushes_per_event = static_cast<double>(t.allocs) /
+                             static_cast<double>(s.result.events_fired);
+      }
+    }
     const std::uint64_t tasks = total_tasks(nodes, tasks_per_rank);
     if (tasks > 0) {
       s.alloc_bytes_per_task =
@@ -293,6 +304,7 @@ void scale_arm(bench::JsonReport& report, const std::vector<int>& node_counts,
       // plus the per-subsystem RSS attribution for EXPERIMENTS.md.
       pt.set("solver_wall_share", s.solver_wall_share)
           .set("alloc_bytes_per_task", s.alloc_bytes_per_task)
+          .set("pushes_per_event", s.pushes_per_event)
           .set("prof_unattributed_share", s.prof_unattributed_share)
           .set("prof_snapshots", s.prof_snapshots);
       const auto tasks =
@@ -339,7 +351,7 @@ int main() {
   const int tasks_per_rank = smoke ? 16 : 256;
   const int telemetry_nodes = smoke ? 8 : 64;
   const std::vector<int> scale_nodes =
-      smoke ? std::vector<int>{4, 8} : std::vector<int>{16, 64, 256};
+      smoke ? std::vector<int>{4, 8} : std::vector<int>{16, 32, 64, 256};
 
   telemetry_arm(report, telemetry_nodes, tasks_per_rank);
   scale_arm(report, scale_nodes, tasks_per_rank);

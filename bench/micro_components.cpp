@@ -5,6 +5,7 @@
 //     the modelled solver latency is configurable);
 //   - expander construction and screening;
 //   - task dependency registration throughput;
+//   - the max-min fabric under flow churn (fig17's fat-tree shape);
 //   - the real application kernels (hex8 stiffness, Barnes-Hut force).
 #include <benchmark/benchmark.h>
 
@@ -12,6 +13,8 @@
 #include "apps/nbody/octree.hpp"
 #include "graph/expander.hpp"
 #include "nanos/dependency_graph.hpp"
+#include "net/fabric.hpp"
+#include "sim/engine.hpp"
 #include "sim/rng.hpp"
 #include "solver/allocation.hpp"
 
@@ -81,6 +84,33 @@ void BM_DependencyRegistration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DependencyRegistration)->Arg(1024)->Arg(8192);
+
+void BM_FabricChurn(benchmark::State& state) {
+  // N staggered 256 KiB flows on fig17's fabric (64 nodes, 16 per leaf,
+  // 4 spines, 200 MB/s links), drained to the last byte: every start and
+  // finish re-solves the max-min rates over all streaming flows.
+  const int flows = static_cast<int>(state.range(0));
+  constexpr int kNodes = 64;
+  constexpr double kBandwidth = 2e8;
+  for (auto _ : state) {
+    sim::Engine engine;
+    net::Fabric fabric(engine,
+                       net::NetTopology::fat_tree(kNodes, 16, 4, kBandwidth,
+                                                  kBandwidth, 1e-6, 5e-7));
+    for (int i = 0; i < flows; ++i) {
+      const int src = i % kNodes;
+      const int dst = (src + 1 + (i * 7) % (kNodes - 1)) % kNodes;
+      engine.at(1e-5 * i, [&fabric, src, dst] {
+        fabric.start_flow(src, dst, 256u << 10, [] {});
+      });
+    }
+    engine.run();
+    benchmark::DoNotOptimize(fabric.flows_completed());
+  }
+  state.counters["flows/s"] = benchmark::Counter(
+      static_cast<double>(flows), benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_FabricChurn)->Arg(64)->Arg(256);
 
 void BM_Hex8Stiffness(benchmark::State& state) {
   const auto coords = apps::micropp::unit_cube_coords(1.0);

@@ -104,11 +104,12 @@ void Fabric::cancel(FlowId id) {
   auto it = flows_.find(id);
   if (it == flows_.end()) return;  // completed or never existed
   const bool injected = it->second.injected;
-  engine_.cancel(it->second.pending_event);
+  engine_.cancel(it->second.pending_event);  // latency phase only
   flows_.erase(it);
   prof::free_note(prof::AllocTag::NetFlow, sizeof(Flow));
   ++cancelled_;
-  // Released bandwidth is re-shared immediately.
+  // Released bandwidth is re-shared immediately, and the completion event
+  // is re-armed (it may have belonged to this flow).
   if (injected) solve();
 }
 
@@ -137,8 +138,11 @@ void Fabric::solve() {
     residual[static_cast<std::size_t>(l)] = effective_capacity(l);
   }
 
-  // 1. Settle: bank the bytes each injected flow streamed since its last
-  // update, cancel its stale completion event, and count it on its links.
+  // 1. Settle: drop the stale completion event, bank the bytes each
+  // injected flow streamed since its last update, and count it on its
+  // links.
+  engine_.cancel(next_done_);
+  next_done_ = sim::kInvalidEvent;
   std::vector<std::pair<FlowId, Flow*>> active;
   active.reserve(flows_.size());
   for (auto& [id, flow] : flows_) {
@@ -147,8 +151,6 @@ void Fabric::solve() {
     flow.remaining -= flow.rate * (now - flow.settled_at);
     if (flow.remaining < 0.0) flow.remaining = 0.0;
     flow.settled_at = now;
-    engine_.cancel(flow.pending_event);
-    flow.pending_event = sim::kInvalidEvent;
     flow.rate = 0.0;
     for (LinkId l : topo_.route(flow.src, flow.dst)) {
       ++unfrozen[static_cast<std::size_t>(l)];
@@ -161,9 +163,13 @@ void Fabric::solve() {
 
   // 2. Progressive filling: repeatedly find the bottleneck link (smallest
   // fair share = residual capacity / unfrozen flows) and freeze its flows
-  // at that share. Iterating flows in id order keeps ties deterministic.
-  std::size_t remaining_flows = active.size();
-  while (remaining_flows > 0) {
+  // at that share. `unfrozen_flows` keeps the flows still to freeze in id
+  // order (ties stay deterministic) and is compacted every round, so
+  // frozen flows are never rescanned.
+  std::vector<Flow*> unfrozen_flows;
+  unfrozen_flows.reserve(active.size());
+  for (auto& [id, flow] : active) unfrozen_flows.push_back(flow);
+  while (!unfrozen_flows.empty()) {
     double share = std::numeric_limits<double>::infinity();
     for (LinkId l = 0; l < link_count; ++l) {
       const std::size_t sl = static_cast<std::size_t>(l);
@@ -173,42 +179,54 @@ void Fabric::solve() {
     }
     assert(std::isfinite(share));
     // Freeze every unfrozen flow crossing a link at the bottleneck share.
-    bool froze_any = false;
-    for (auto& [id, flow] : active) {
-      if (flow->rate > 0.0) continue;
-      bool at_bottleneck = false;
-      for (LinkId l : topo_.route(flow->src, flow->dst)) {
-        const std::size_t sl = static_cast<std::size_t>(l);
-        if (residual[sl] / unfrozen[sl] <= share) {
-          at_bottleneck = true;
-          break;
-        }
+    std::size_t kept = 0;
+    for (Flow* flow : unfrozen_flows) {
+      const std::vector<LinkId>& route = topo_.route(flow->src, flow->dst);
+      const bool at_bottleneck =
+          std::any_of(route.begin(), route.end(), [&](LinkId l) {
+            const std::size_t sl = static_cast<std::size_t>(l);
+            return residual[sl] / unfrozen[sl] <= share;
+          });
+      if (!at_bottleneck) {
+        unfrozen_flows[kept++] = flow;
+        continue;
       }
-      if (!at_bottleneck) continue;
       flow->rate = share;
-      froze_any = true;
-      --remaining_flows;
-      for (LinkId l : topo_.route(flow->src, flow->dst)) {
+      for (LinkId l : route) {
         const std::size_t sl = static_cast<std::size_t>(l);
         residual[sl] = std::max(0.0, residual[sl] - share);
         --unfrozen[sl];
       }
     }
-    assert(froze_any && "progressive filling must freeze a flow per round");
-    (void)froze_any;
+    assert(kept < unfrozen_flows.size() &&
+           "progressive filling must freeze a flow per round");
+    unfrozen_flows.resize(kept);
   }
 
-  // 3. Reschedule completions from the new rates and sum link loads.
+  // 3. Arm one completion event at the earliest projected finish and sum
+  // link loads. A tie goes to the lowest id, the (time, seq) order in
+  // which per-flow completion events would have fired.
   std::vector<double> load(nlinks, 0.0);
+  sim::SimTime first = std::numeric_limits<double>::infinity();
+  FlowId first_id = kInvalidFlow;
   for (auto& [id, flow] : active) {
     assert(flow->rate > 0.0);
     const sim::SimTime left =
         flow->remaining <= kByteEpsilon ? 0.0 : flow->remaining / flow->rate;
-    flow->pending_event =
-        engine_.after(left, [this, id = id] { complete(id); });
+    const sim::SimTime at = now + left;
+    if (at < first) {
+      first = at;
+      first_id = id;
+    }
     for (LinkId l : topo_.route(flow->src, flow->dst)) {
       load[static_cast<std::size_t>(l)] += flow->rate;
     }
+  }
+  if (first_id != kInvalidFlow) {
+    next_done_ = engine_.at(first, [this, id = first_id] {
+      next_done_ = sim::kInvalidEvent;
+      complete(id);
+    });
   }
 
   // 4. Record utilization and congestion transitions.

@@ -3,9 +3,11 @@
 // A Fabric simulates payload transfers as *flows* over the shared links of
 // a NetTopology. Active flows crossing a link divide its capacity max-min
 // fairly (progressive filling): rates are recomputed on every flow start,
-// finish, cancellation, and fault change, and each flow's completion event
-// is rescheduled from its remaining bytes and new rate. A flow first pays
-// the route's wire latency, then streams its bytes at the fair rate.
+// finish, cancellation, and fault change. The fabric then holds exactly one
+// engine event, at the earliest completion projected from the flows'
+// remaining bytes and new rates, so a re-solve costs one queue push however
+// many flows it touches. A flow first pays the route's wire latency, then
+// streams its bytes at the fair rate.
 //
 // Determinism: flows are stored and iterated in flow-id order, routing is
 // a pure function of the topology, and the fair-share computation is
@@ -150,19 +152,23 @@ class Fabric {
     sim::SimTime settled_at = 0.0;  ///< remaining is exact at this time
     bool injected = false;          ///< past the latency phase
     std::function<void()> on_complete;
-    sim::EventId pending_event = sim::kInvalidEvent;  ///< injection or done
+    /// Injection event (latency phase) only.
+    sim::EventId pending_event = sim::kInvalidEvent;
   };
 
   void inject(FlowId id);
   void complete(FlowId id);
   /// Settles every injected flow's remaining bytes to now, recomputes
-  /// max-min fair rates, reschedules completions, records utilization.
+  /// max-min fair rates, re-arms next_done_, records utilization.
   void solve();
 
   sim::Engine& engine_;
   NetTopology topo_;
   std::map<FlowId, Flow> flows_;  ///< id order => deterministic iteration
   FlowId next_id_ = 1;
+  /// The one pending completion event: the earliest projected finish
+  /// among injected flows (kInvalidEvent when none is streaming).
+  sim::EventId next_done_ = sim::kInvalidEvent;
   std::uint64_t solver_runs_ = 0;
   std::uint64_t solver_flows_touched_ = 0;
   std::uint64_t solver_links_touched_ = 0;

@@ -539,5 +539,85 @@ TEST(NetFabric, MidRunGlobalFaultReSharesCompetingFlows) {
   EXPECT_EQ(fab.active_flows(), 0);
 }
 
+// The fabric keeps one engine event, at the earliest projected completion,
+// however many flows stream; latency-phase flows keep their own injection
+// event. Every re-solve (start, finish, cancel, fault) re-arms it.
+TEST(NetFabric, OneCompletionEventPerFabric) {
+  {
+    // Four streaming flows and two still in their wire latency.
+    auto f = FabricFixture::crossbar(8);
+    for (int n = 0; n < 8; n += 2) {
+      f.fabric->start_flow(n, n + 1, 1000, [] {});
+    }
+    f.fabric->start_flow(1, 0, 1000, [] {}, /*extra_latency=*/50.0);
+    f.fabric->start_flow(3, 2, 1000, [] {}, /*extra_latency=*/50.0);
+    f.engine.run_until(1.0);
+    EXPECT_EQ(f.fabric->flow_rate(1), 100.0);
+    EXPECT_EQ(f.engine.pending(), 2u + 1u);
+    f.engine.run();
+    EXPECT_EQ(f.fabric->flows_completed(), 6u);
+    EXPECT_EQ(f.engine.pending(), 0u);
+  }
+  {
+    // Equal projected finishes complete in id order at the same instant.
+    auto f = FabricFixture::crossbar(3);
+    std::vector<FlowId> order;
+    std::vector<double> at;
+    const auto record = [&](FlowId id) {
+      order.push_back(id);
+      at.push_back(f.engine.now());
+    };
+    FlowId a = kInvalidFlow;
+    FlowId b = kInvalidFlow;
+    a = f.fabric->start_flow(0, 1, 1000, [&] { record(a); });
+    b = f.fabric->start_flow(2, 1, 1000, [&] { record(b); });
+    f.engine.run();
+    EXPECT_EQ(order, (std::vector<FlowId>{a, b}));
+    EXPECT_EQ(at, (std::vector<double>{20.0, 20.0}));
+  }
+  {
+    // A (500 B) owns the event (done at 10, B at 20 while sharing
+    // nic1.out); cancelling A at t = 4 re-arms it for B, whose remaining
+    // 800 B then stream at 100 B/s: done at 12.
+    auto f = FabricFixture::crossbar(3);
+    double done_b = -1.0;
+    const FlowId a = f.fabric->start_flow(0, 1, 500, [] {});
+    f.fabric->start_flow(2, 1, 1000, [&] { done_b = f.engine.now(); });
+    std::size_t pending_after_cancel = 0;
+    f.engine.at(4.0, [&] {
+      f.fabric->cancel(a);
+      pending_after_cancel = f.engine.pending();
+    });
+    f.engine.run();
+    EXPECT_EQ(pending_after_cancel, 1u);
+    EXPECT_EQ(done_b, 12.0);
+  }
+  {
+    // A (1000 B) and B (2000 B) stream apart at 100 B/s: A owns the event.
+    // t = 5: nic1.out drops to 25 B/s, so A's 500 B need 20 s and B (1500 B
+    // left, done at 20) becomes the earliest. t = 10: the fabric halves, so
+    // A's 375 B take 30 s (done at 40) and B's 1000 B 20 s (done at 30).
+    auto f = FabricFixture::crossbar(4);
+    double done_a = -1.0;
+    double done_b = -1.0;
+    f.fabric->start_flow(0, 1, 1000, [&] { done_a = f.engine.now(); });
+    f.fabric->start_flow(2, 3, 2000, [&] { done_b = f.engine.now(); });
+    std::vector<std::size_t> pending;
+    f.engine.at(5.0, [&] {
+      f.fabric->degrade_link(3, 0.25);  // nic1.out
+      pending.push_back(f.engine.pending());
+    });
+    f.engine.at(10.0, [&] {
+      f.fabric->set_global_fault(1.0, 0.5);
+      pending.push_back(f.engine.pending());
+    });
+    f.engine.run();
+    // The completion event (plus, at t = 5, the t = 10 fault event).
+    EXPECT_EQ(pending, (std::vector<std::size_t>{2u, 1u}));
+    EXPECT_EQ(done_b, 30.0);
+    EXPECT_EQ(done_a, 40.0);
+  }
+}
+
 }  // namespace
 }  // namespace tlb::net
