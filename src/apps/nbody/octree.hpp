@@ -39,7 +39,6 @@ class Octree {
                                                 double eps = 1e-3);
 
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
-  [[nodiscard]] std::size_t body_count() const { return bodies_.size(); }
   /// Total mass at the root (mass-conservation test hook).
   [[nodiscard]] double total_mass() const;
 

@@ -104,8 +104,7 @@ ClusterRuntime::ClusterRuntime(RuntimeConfig config, sim::Engine* shared_engine)
   if (resil_active()) {
     detectors_.reserve(static_cast<std::size_t>(topology_->worker_count()));
     for (int w = 0; w < topology_->worker_count(); ++w) {
-      detectors_.emplace_back(config_.resil.phi_window,
-                              config_.resil.phi_min_std);
+      detectors_.emplace_back(resil::kPhiWindow, resil::kPhiMinStd);
     }
     quarantine_ = std::make_unique<resil::Quarantine>(
         topology_->worker_count(), config_.resil);
@@ -169,7 +168,6 @@ ClusterRuntime::ClusterRuntime(RuntimeConfig config, sim::Engine* shared_engine)
                   nconf.nic_bw(link), nconf.uplink_bw(link),
                   nconf.base_latency(link), nconf.per_hop_latency);
     fabric_ = std::make_unique<net::Fabric>(engine_, std::move(topo));
-    fabric_->set_congestion_threshold(nconf.congestion_threshold);
     fabric_->set_congestion_observer([this](net::LinkId l, bool congested) {
       on_link_congestion(l, congested);
     });
@@ -231,8 +229,7 @@ std::unique_ptr<sched::Scheduler> ClusterRuntime::make_policy(
     // base conversion must happen here, in member context, where the
     // private sched::RuntimeView base is accessible.
     const sched::RuntimeView& view = *this;
-    return std::make_unique<hier::HierScheduler>(config_.hier, config_.sched,
-                                                 view);
+    return std::make_unique<hier::HierScheduler>(config_.hier, view);
   }
   sched::SchedConfig sc = config_.sched;
   sc.policy = name;
@@ -1213,13 +1210,6 @@ void ClusterRuntime::record_ownership() {
 
 // --- perturbation / resilience (tlb::fault) -----------------------------------
 
-bool ClusterRuntime::any_worker_dead() const {
-  for (char a : alive_) {
-    if (!a) return true;
-  }
-  return false;
-}
-
 bool ClusterRuntime::any_worker_unusable() const {
   for (std::size_t w = 0; w < alive_.size(); ++w) {
     if (!alive_[w] || suspected_[w] || retired_[w]) return true;
@@ -1389,18 +1379,16 @@ void ClusterRuntime::crash_worker(WorkerId w) {
 // --- failure detection / graceful degradation (tlb::resil) --------------------
 
 void ClusterRuntime::start_heartbeats() {
-  const sim::SimTime period = config_.resil.heartbeat_period;
-  assert(period > 0.0);
   for (int w = 0; w < topology_->worker_count(); ++w) {
     if (topology_->worker(w).is_home) continue;
     // Deterministic stagger: first beats spread over one period so the
     // control plane is not hit by a synchronized burst (no RNG — the
     // phase is a pure function of the worker id).
     const sim::SimTime phase =
-        period * (w + 1) / (topology_->worker_count() + 1);
+        resil::kHeartbeatPeriod * (w + 1) / (topology_->worker_count() + 1);
     engine_.after(phase, [this, w] { send_heartbeat(w); });
   }
-  engine_.after(period, [this] { detector_sweep(); });
+  engine_.after(resil::kHeartbeatPeriod, [this] { detector_sweep(); });
 }
 
 void ClusterRuntime::send_heartbeat(WorkerId w) {
@@ -1416,8 +1404,7 @@ void ClusterRuntime::send_heartbeat(WorkerId w) {
                    [this, w](const vmpi::Message&) { on_heartbeat(w); });
   ctrl_comm_->recv(home, vmpi::kAnySource, vmpi::kAnyTag,
                    [](const vmpi::Message&) {});
-  engine_.after(config_.resil.heartbeat_period,
-                [this, w] { send_heartbeat(w); });
+  engine_.after(resil::kHeartbeatPeriod, [this, w] { send_heartbeat(w); });
 }
 
 void ClusterRuntime::on_heartbeat(WorkerId w) {
@@ -1439,20 +1426,19 @@ void ClusterRuntime::detector_sweep() {
     const resil::PhiAccrualDetector& det =
         detectors_[static_cast<std::size_t>(w)];
     if (det.started()) {
-      if (det.phi(now) > config_.resil.phi_threshold) suspect_worker(w);
+      if (det.phi(now) > resil::kPhiThreshold) suspect_worker(w);
     } else {
       // Bootstrap: no inter-arrival distribution yet (the worker died —
       // or its link degraded — before two heartbeats arrived). Judge the
-      // silence against the configured period instead.
+      // silence against the heartbeat period instead.
       const sim::SimTime since =
           now - std::max(0.0, last_heartbeat_[static_cast<std::size_t>(w)]);
-      if (since >
-          config_.resil.phi_threshold * config_.resil.heartbeat_period) {
+      if (since > resil::kPhiThreshold * resil::kHeartbeatPeriod) {
         suspect_worker(w);
       }
     }
   }
-  engine_.after(config_.resil.heartbeat_period, [this] { detector_sweep(); });
+  engine_.after(resil::kHeartbeatPeriod, [this] { detector_sweep(); });
 }
 
 void ClusterRuntime::send_offload(nanos::TaskId id, WorkerId w,
@@ -1538,7 +1524,7 @@ void ClusterRuntime::on_lease_timeout(nanos::TaskId id) {
   resil::LeaseRecord* lease = leases_.find(id);
   if (lease == nullptr || lease->acked) return;  // settled meanwhile
   const WorkerId w = lease->worker;
-  if (lease->attempts < config_.resil.lease_max_attempts) {
+  if (lease->attempts < resil::kLeaseMaxAttempts) {
     lease->attempts += 1;
     m_.lease_retransmits->inc();
     m_.control_messages->inc();
@@ -1704,10 +1690,9 @@ WorkerId ClusterRuntime::add_helper(int apprank, int node) {
   crashed_at_.push_back(-1.0);
   if (!busy_smoothed_.empty()) busy_smoothed_.push_back(0.0);
   if (resil_active()) {
-    detectors_.emplace_back(config_.resil.phi_window, config_.resil.phi_min_std);
+    detectors_.emplace_back(resil::kPhiWindow, resil::kPhiMinStd);
     quarantine_->add_worker();
-    engine_.after(config_.resil.heartbeat_period,
-                  [this, w] { send_heartbeat(w); });
+    engine_.after(resil::kHeartbeatPeriod, [this, w] { send_heartbeat(w); });
   }
   return w;
 }
@@ -1746,7 +1731,7 @@ void ClusterRuntime::maybe_rewire(int apprank) {
 
 // --- elasticity (tlb::elastic) ------------------------------------------------
 
-int ClusterRuntime::grow_node(const sim::NodeSpec& spec, int helpers) {
+int ClusterRuntime::grow_node(const sim::NodeSpec& spec) {
   if (done_) throw std::logic_error("grow_node: run already complete");
   if (workload_ == nullptr) {
     throw std::logic_error(
@@ -1772,10 +1757,10 @@ int ClusterRuntime::grow_node(const sim::NodeSpec& spec, int helpers) {
   node_retired_.push_back(0);
   recorder_->add_node();
 
-  // Helper placement: appranks with the fewest workers first (they gain
-  // the most offload reach), ties by id — deterministic.
-  int count = helpers > 0 ? helpers : topology_->apprank_count();
-  count = std::min(count, std::min(topology_->apprank_count(), spec.cores));
+  // Helper placement: one per apprank, capped by the core count; appranks
+  // with the fewest workers first (they gain the most offload reach), ties
+  // by id — deterministic.
+  const int count = std::min(topology_->apprank_count(), spec.cores);
   std::vector<int> order(static_cast<std::size_t>(topology_->apprank_count()));
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
   std::stable_sort(order.begin(), order.end(), [this](int x, int y) {
@@ -1906,14 +1891,12 @@ void ClusterRuntime::elastic_tick() {
   const elastic::ScaleDecision d =
       elastic_ctrl_->observe(engine_.now(), pressure, active);
   if (d == elastic::ScaleDecision::Out) {
+    // Grown nodes clone node 0's core count and run at nominal speed.
     sim::NodeSpec spec;
-    spec.cores = config_.elastic.node_cores > 0
-                     ? config_.elastic.node_cores
-                     : config_.cluster.nodes.front().cores;
-    spec.speed = config_.elastic.node_speed;
+    spec.cores = config_.cluster.nodes.front().cores;
     for (int k = 0; k < config_.elastic.step; ++k) {
       if (active >= elastic_ctrl_->max_nodes()) break;
-      grow_node(spec, config_.elastic.helpers_per_node);
+      grow_node(spec);
       ++active;
     }
   } else if (d == elastic::ScaleDecision::In) {

@@ -243,11 +243,6 @@ class ClusterRuntime : private sched::RuntimeView {
   [[nodiscard]] bool worker_alive(WorkerId w) const {
     return alive_.at(static_cast<std::size_t>(w)) != 0;
   }
-  /// True while `w` sits in outlier quarantine (suspected, ejected from
-  /// pick_worker candidacy).
-  [[nodiscard]] bool worker_quarantined(WorkerId w) const {
-    return suspected_.at(static_cast<std::size_t>(w)) != 0;
-  }
 
   /// Offload control messages still in flight towards `w` (diagnostic:
   /// must be zero after run() returns).
@@ -275,14 +270,14 @@ class ClusterRuntime : private sched::RuntimeView {
   // --- elasticity (tlb::elastic) --------------------------------------------
 
   /// Provisions one new node mid-run: the crash-recovery rewire path run in
-  /// reverse. The expander's right partition grows by one vertex, `helpers`
-  /// helper ranks (0 = one per apprank, capped by the core count) are
+  /// reverse. The expander's right partition grows by one vertex, one
+  /// helper rank per apprank (capped by the core count) is
   /// epoch-stamped into the topology / control plane / DLB exactly like a
   /// rewire replacement, and an immediate policy re-solve makes the node
   /// schedulable. Only valid after start() (the initial ownership split
   /// must exist), with the analytic interconnect (the fabric topology is
   /// fixed), and before completion. Returns the new node id.
-  int grow_node(const sim::NodeSpec& spec, int helpers = 0);
+  int grow_node(const sim::NodeSpec& spec);
 
   /// Drains and retires a helper-only node: its workers stop taking new
   /// work immediately (usable() goes false), queued-but-unstarted
@@ -358,7 +353,6 @@ class ClusterRuntime : private sched::RuntimeView {
 
   // SPMD iteration orchestration.
   void start_iteration_all();
-  void start_iteration(int apprank);
   void enter_barrier(int apprank);
   void on_barrier_done();
 
@@ -415,7 +409,6 @@ class ClusterRuntime : private sched::RuntimeView {
   void rescue_task(nanos::TaskId id, WorkerId from, bool charge_worker = true);
   /// Point-to-point transfer cost with the active link fault applied.
   [[nodiscard]] sim::SimTime faulted_transfer_time(std::uint64_t bytes);
-  [[nodiscard]] bool any_worker_dead() const;
 
   // Failure detection / graceful degradation (tlb::resil).
   [[nodiscard]] bool resil_active() const {

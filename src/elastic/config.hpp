@@ -57,14 +57,6 @@ struct ElasticConfig {
   /// delay (svc::JobManager; ClusterRuntime grows synchronously — the
   /// simulated runtime attach is the analogue of this handshake).
   double provision_delay = 0.5;
-
-  /// Shape of nodes added by ClusterRuntime::grow_node when driven by the
-  /// elastic tick: cores per node (0 = clone node 0) and speed factor.
-  int node_cores = 0;
-  double node_speed = 1.0;
-  /// Helper ranks to place on a grown node (0 = as many as fit: one per
-  /// apprank, capped by the node's core count).
-  int helpers_per_node = 0;
 };
 
 }  // namespace tlb::elastic

@@ -76,16 +76,6 @@ std::optional<Resource> ControlPlane::last_acked(
   return it->second.acked;
 }
 
-std::vector<std::string> ControlPlane::subscribed_types() const {
-  std::vector<std::string> types;
-  types.reserve(subs_.size());
-  for (const auto& [type, sub] : subs_) {
-    (void)sub;
-    types.push_back(type);
-  }
-  return types;
-}
-
 std::map<std::string, std::string> parse_kv(const std::string& payload) {
   std::map<std::string, std::string> kv;
   std::size_t i = 0;

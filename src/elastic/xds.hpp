@@ -73,8 +73,6 @@ class ControlPlane {
   [[nodiscard]] std::optional<Resource> last_acked(
       const std::string& type_url) const;
 
-  [[nodiscard]] std::vector<std::string> subscribed_types() const;
-
   [[nodiscard]] std::uint64_t pushes() const { return pushes_; }
   [[nodiscard]] std::uint64_t acks() const { return acks_; }
   [[nodiscard]] std::uint64_t nacks() const { return nacks_; }

@@ -24,21 +24,17 @@ struct HierConfig {
   // trailed locality's makespan at 32-64 nodes: equally-loaded helpers
   // are interchangeable by load but not by transfer cost. Each local
   // master therefore keeps a decayed per-apprank EWMA of input bytes
-  // recently placed on its node, and the balancer breaks near-ties in
-  // load_ratio (within residency_band) towards the node with the
-  // warmest residency for the task's apprank. With no history (or
-  /// residency_band = 0) the selection reduces exactly to the previous
-  /// lowest-load_ratio rule.
+  // recently placed on its node (kResidencyHalflife, kResidencySmoothing
+  // in hier/local_master.hpp), and the balancer breaks near-ties in
+  // load_ratio (within residency_band) towards the node with the warmest
+  // residency for the task's apprank. With no history (or
+  // residency_band = 0) the selection reduces exactly to the previous
+  // lowest-load_ratio rule.
 
-  /// Half-life (seconds) of the residency signal; old placements stop
-  /// counting after a few task generations.
-  sim::SimTime residency_halflife = 0.2;
   /// Candidates whose load_ratio is within this absolute band of the
   /// minimum compete on residency instead of load. 0 disables the
   /// tie-break entirely.
   double residency_band = 0.25;
-  /// EWMA blend factor for new placements (1 = history only).
-  double residency_smoothing = 0.5;
 };
 
 }  // namespace tlb::hier

@@ -17,16 +17,14 @@
 
 #include "hier/config.hpp"
 #include "hier/local_master.hpp"
-#include "sched/config.hpp"
 #include "sched/scheduler.hpp"
 
 namespace tlb::hier {
 
 class GlobalBalancer {
  public:
-  GlobalBalancer(const HierConfig& hconf, const sched::SchedConfig& sconf,
-                 const sched::RuntimeView& view)
-      : hconf_(hconf), sconf_(sconf), view_(view) {}
+  GlobalBalancer(const HierConfig& hconf, const sched::RuntimeView& view)
+      : hconf_(hconf), view_(view) {}
 
   /// One victim selection over summaries. Charges every summary read and
   /// refresh walk to `stats.state_touched` and keeps the offload
@@ -61,7 +59,6 @@ class GlobalBalancer {
   [[nodiscard]] static int slack_of(const NodeSummary& s, core::WorkerId w);
 
   HierConfig hconf_;
-  sched::SchedConfig sconf_;
   const sched::RuntimeView& view_;
   std::vector<LocalMaster> masters_;  ///< indexed by node id
 };

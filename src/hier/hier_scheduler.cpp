@@ -10,9 +10,9 @@ void register_policies() {
   if (sched::policy_registered("hier")) return;  // idempotent
   sched::register_policy(
       "hier",
-      [](const sched::SchedConfig& sconf, const sched::RuntimeView& view)
+      [](const sched::SchedConfig&, const sched::RuntimeView& view)
           -> std::unique_ptr<sched::Scheduler> {
-        return std::make_unique<HierScheduler>(HierConfig{}, sconf, view);
+        return std::make_unique<HierScheduler>(HierConfig{}, view);
       });
 }
 

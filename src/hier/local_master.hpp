@@ -17,6 +17,12 @@
 
 namespace tlb::hier {
 
+/// Half-life (seconds) of the data-residency signal; old placements stop
+/// counting after a few task generations.
+inline constexpr sim::SimTime kResidencyHalflife = 0.2;
+/// EWMA blend factor for new placements (1 = history only).
+inline constexpr double kResidencySmoothing = 0.5;
+
 class LocalMaster {
  public:
   explicit LocalMaster(int node) { summary_.node = node; }
@@ -46,39 +52,36 @@ class LocalMaster {
 
   /// Folds one observed queue wait of a task that started on this node
   /// into the decayed per-node estimate.
-  void observe_wait(double wait, sim::SimTime now, double smoothing,
-                    double half_life) {
-    wait_ewma_.observe(wait, now, smoothing, half_life);
+  void observe_wait(double wait, sim::SimTime now) {
+    wait_ewma_.observe(wait, now);
   }
   /// Smoothed queue wait on this node (seconds), decayed to `now`.
-  [[nodiscard]] double wait_estimate(sim::SimTime now,
-                                     double half_life) const {
-    return wait_ewma_.read(now, half_life);
+  [[nodiscard]] double wait_estimate(sim::SimTime now) const {
+    return wait_ewma_.read(now);
   }
 
   /// Folds a placement of `bytes` input bytes for `apprank` into the
-  /// node's decayed residency signal (HierConfig residency_*).
-  void observe_residency(int apprank, double bytes, sim::SimTime now,
-                         double smoothing, double half_life) {
+  /// node's decayed residency signal.
+  void observe_residency(int apprank, double bytes, sim::SimTime now) {
     if (residency_.size() <= static_cast<std::size_t>(apprank)) {
       residency_.resize(static_cast<std::size_t>(apprank) + 1);
     }
-    residency_[static_cast<std::size_t>(apprank)].observe(bytes, now,
-                                                          smoothing,
-                                                          half_life);
+    residency_[static_cast<std::size_t>(apprank)].observe(bytes, now);
   }
   /// Decayed input-byte residency of `apprank` on this node; 0 when the
   /// apprank never placed here.
-  [[nodiscard]] double residency(int apprank, sim::SimTime now,
-                                 double half_life) const {
+  [[nodiscard]] double residency(int apprank, sim::SimTime now) const {
     if (residency_.size() <= static_cast<std::size_t>(apprank)) return 0.0;
-    return residency_[static_cast<std::size_t>(apprank)].read(now, half_life);
+    return residency_[static_cast<std::size_t>(apprank)].read(now);
   }
 
  private:
+  using ResidencyEwma =
+      sched::DecayEwma<kResidencySmoothing, kResidencyHalflife>;
+
   NodeSummary summary_;
-  sched::DecayEwma wait_ewma_;
-  std::vector<sched::DecayEwma> residency_;  ///< indexed by apprank
+  sched::WaitEwma wait_ewma_;
+  std::vector<ResidencyEwma> residency_;  ///< indexed by apprank
   std::uint64_t refreshes_ = 0;
 };
 

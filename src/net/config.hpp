@@ -64,10 +64,6 @@ struct NetConfig {
   /// Extra latency per switch-to-switch hop (cross-leaf routes pay two).
   sim::SimTime per_hop_latency = 5e-7;
 
-  /// A link whose utilization reaches this fraction of capacity while
-  /// carrying at least two flows is marked congested in the trace.
-  double congestion_threshold = 0.95;
-
   [[nodiscard]] double nic_bw(const sim::LinkSpec& link) const {
     return nic_bandwidth > 0.0 ? nic_bandwidth : link.bandwidth;
   }

@@ -19,8 +19,9 @@ Fabric::Fabric(sim::Engine& engine, NetTopology topology)
     : engine_(engine), topo_(std::move(topology)) {
   const std::size_t links = static_cast<std::size_t>(topo_.link_count());
   link_mult_.assign(links, 1.0);
-  util_series_.resize(links);
   last_util_.assign(links, 0.0);
+  util_at_.assign(links, 0.0);
+  peak_util_.assign(links, 0.0);
   congested_.assign(links, 0);
 }
 
@@ -234,11 +235,16 @@ void Fabric::solve() {
     const std::size_t sl = static_cast<std::size_t>(l);
     const double util = std::min(1.0, load[sl] / effective_capacity(l));
     if (util != last_util_[sl]) {
-      util_series_[sl].set(now, util);
+      // The previous value held until now unless it was set at this same
+      // instant, in which case this solve replaces it.
+      if (util_at_[sl] != now) {
+        peak_util_[sl] = std::max(peak_util_[sl], last_util_[sl]);
+      }
       last_util_[sl] = util;
+      util_at_[sl] = now;
     }
     const bool congested =
-        util >= congestion_threshold_ && crossing[sl] >= 2;
+        util >= kCongestionThreshold && crossing[sl] >= 2;
     if (congested != (congested_[sl] != 0)) {
       congested_[sl] = congested ? 1 : 0;
       if (on_congestion_) on_congestion_(l, congested);

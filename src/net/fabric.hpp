@@ -22,12 +22,14 @@
 // physical links can additionally be degraded with degrade_link(), which
 // slows exactly the flows whose routes cross them.
 //
-// Observability: per-link utilization StepSeries, flow-completion-time
-// samples with quantiles (p50/p99), and — when an observer is attached —
-// a callback at the instants a link becomes congested (utilization >=
-// threshold with >= 2 competing flows) and clears.
+// Observability: per-link current and peak utilization, flow-completion-
+// time samples with quantiles (p50/p99), and — when an observer is
+// attached — a callback at the instants a link becomes congested
+// (utilization >= kCongestionThreshold with >= 2 competing flows) and
+// clears.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -35,12 +37,15 @@
 
 #include "net/topology.hpp"
 #include "sim/engine.hpp"
-#include "trace/step_series.hpp"
 
 namespace tlb::net {
 
 using FlowId = std::uint64_t;
 inline constexpr FlowId kInvalidFlow = 0;
+
+/// A link whose utilization reaches this fraction of capacity while
+/// carrying at least two flows is reported congested.
+inline constexpr double kCongestionThreshold = 0.95;
 
 class Fabric {
  public:
@@ -89,13 +94,12 @@ class Fabric {
 
   // --- observability -----------------------------------------------------------
 
-  /// Utilization (load / effective capacity, in [0, 1]) of a link over
-  /// time, recorded at every rate recomputation.
-  [[nodiscard]] const trace::StepSeries& link_utilization(LinkId link) const {
-    return util_series_.at(static_cast<std::size_t>(link));
-  }
+  /// Highest utilization (load / effective capacity, in [0, 1]) the link
+  /// held at any instant so far. A value replaced by a later solve at the
+  /// same instant never held, so it does not count.
   [[nodiscard]] double peak_utilization(LinkId link) const {
-    return util_series_.at(static_cast<std::size_t>(link)).max_value();
+    const std::size_t sl = static_cast<std::size_t>(link);
+    return std::max(peak_util_.at(sl), last_util_.at(sl));
   }
   /// Utilization of a link as of the last rate recomputation (the live
   /// congestion signal consumed by net::LinkLoadView / tlb::sched).
@@ -131,14 +135,11 @@ class Fabric {
   }
 
   /// Called with (link, congested) each time a link crosses or clears
-  /// `congestion_threshold`. Observers must only record: never feed back
+  /// kCongestionThreshold. Observers must only record: never feed back
   /// into flow rates or post engine events.
   using CongestionObserver = std::function<void(LinkId, bool congested)>;
   void set_congestion_observer(CongestionObserver observer) {
     on_congestion_ = std::move(observer);
-  }
-  void set_congestion_threshold(double threshold) {
-    congestion_threshold_ = threshold;
   }
 
  private:
@@ -175,10 +176,10 @@ class Fabric {
   double latency_mult_ = 1.0;
   double bandwidth_mult_ = 1.0;
   std::vector<double> link_mult_;      ///< per-link degradation
-  std::vector<trace::StepSeries> util_series_;
-  std::vector<double> last_util_;
+  std::vector<double> last_util_;      ///< utilization as of the last solve
+  std::vector<sim::SimTime> util_at_;  ///< instant last_util_ was set
+  std::vector<double> peak_util_;      ///< peak over instants before util_at_
   std::vector<char> congested_;
-  double congestion_threshold_ = 0.95;
   CongestionObserver on_congestion_;
   std::vector<double> fcts_;
   std::uint64_t started_ = 0;

@@ -83,7 +83,6 @@ class NetTopology {
     return leaf_radix_ > 0 ? n / leaf_radix_ : 0;
   }
   [[nodiscard]] int leaf_count() const { return leaves_; }
-  [[nodiscard]] int spine_count() const { return spines_; }
 
   /// All LeafUp link ids (the classic congestion points; empty for the
   /// crossbar).

@@ -149,38 +149,6 @@ const Gauge* Registry::find_gauge(const std::string& name) const {
   return gauges_[entries_[it->second].index].get();
 }
 
-const Histogram* Registry::find_histogram(const std::string& name) const {
-  const auto it = by_name_.find(name);
-  if (it == by_name_.end() || entries_[it->second].kind != Kind::Histogram) {
-    return nullptr;
-  }
-  return histograms_[entries_[it->second].index].get();
-}
-
-std::vector<std::string> Registry::counter_names() const {
-  std::vector<std::string> out;
-  for (const Entry& e : entries_) {
-    if (e.kind == Kind::Counter) out.push_back(e.name);
-  }
-  return out;
-}
-
-std::vector<std::string> Registry::gauge_names() const {
-  std::vector<std::string> out;
-  for (const Entry& e : entries_) {
-    if (e.kind == Kind::Gauge) out.push_back(e.name);
-  }
-  return out;
-}
-
-std::vector<std::string> Registry::histogram_names() const {
-  std::vector<std::string> out;
-  for (const Entry& e : entries_) {
-    if (e.kind == Kind::Histogram) out.push_back(e.name);
-  }
-  return out;
-}
-
 std::string Registry::to_json() const {
   std::string counters = "{";
   std::string gauges = "{";

@@ -97,12 +97,6 @@ class Registry {
 
   [[nodiscard]] const Counter* find_counter(const std::string& name) const;
   [[nodiscard]] const Gauge* find_gauge(const std::string& name) const;
-  [[nodiscard]] const Histogram* find_histogram(const std::string& name) const;
-
-  /// Metric names in registration order, per kind.
-  [[nodiscard]] std::vector<std::string> counter_names() const;
-  [[nodiscard]] std::vector<std::string> gauge_names() const;
-  [[nodiscard]] std::vector<std::string> histogram_names() const;
 
   /// Serializes the whole registry as one JSON object:
   ///   {"counters": {name: n, ...}, "gauges": {...},

@@ -1,7 +1,9 @@
 // Configuration of the failure-detection / graceful-degradation layer.
 //
 // All parameters are plain data consumed by ClusterRuntime; together with
-// RuntimeConfig::seed they make detection fully deterministic. The default
+// RuntimeConfig::seed they make detection fully deterministic. The
+// detector's cadence and sensitivity and the lease attempt cap are fixed
+// constants (below), not per-run options. The default
 // DetectionMode::Oracle preserves the PR-1 behaviour bit-for-bit: crashes
 // are announced to the runtime directly and none of the machinery below
 // (heartbeats, leases, quarantine) is instantiated.
@@ -20,23 +22,27 @@ enum class DetectionMode {
   Heartbeat,
 };
 
+// --- phi-accrual heartbeat detector (per helper rank) -----------------------
+/// Interval between heartbeats a helper sends to its apprank's home
+/// runtime over the control plane (so heartbeats see link faults).
+inline constexpr sim::SimTime kHeartbeatPeriod = 0.05;
+/// Suspicion threshold: a worker is suspected when
+/// phi = -log10 P(silence this long | past arrivals) exceeds this.
+inline constexpr double kPhiThreshold = 8.0;
+/// Sliding window of inter-arrival samples kept per detector.
+inline constexpr int kPhiWindow = 32;
+/// Lower bound on the inter-arrival standard deviation. The simulator is
+/// deterministic, so observed variance can collapse to zero; the floor
+/// keeps the normal tail well-defined (and models clock/scheduling skew
+/// a real deployment always has).
+inline constexpr sim::SimTime kPhiMinStd = 0.01;
+
+/// Offload transmissions before a task lease is declared expired and the
+/// task is re-queued elsewhere.
+inline constexpr int kLeaseMaxAttempts = 5;
+
 struct ResilConfig {
   DetectionMode detection = DetectionMode::Oracle;
-
-  // --- phi-accrual heartbeat detector (per helper rank) ---------------------
-  /// Interval between heartbeats a helper sends to its apprank's home
-  /// runtime over the control plane (so heartbeats see link faults).
-  sim::SimTime heartbeat_period = 0.05;
-  /// Suspicion threshold: a worker is suspected when
-  /// phi = -log10 P(silence this long | past arrivals) exceeds this.
-  double phi_threshold = 8.0;
-  /// Sliding window of inter-arrival samples kept per detector.
-  int phi_window = 32;
-  /// Lower bound on the inter-arrival standard deviation. The simulator is
-  /// deterministic, so observed variance can collapse to zero; the floor
-  /// keeps the normal tail well-defined (and models clock/scheduling skew
-  /// a real deployment always has).
-  sim::SimTime phi_min_std = 0.01;
 
   // --- task lease / acknowledgment protocol ---------------------------------
   /// A remote assignment must be acknowledged by the helper within this
@@ -47,9 +53,6 @@ struct ResilConfig {
   /// Upper bound on the backoff delay (the "capped" in capped exponential
   /// backoff). 0 disables the cap.
   sim::SimTime lease_timeout_cap = 0.4;
-  /// Offload transmissions before the lease is declared expired and the
-  /// task is re-queued elsewhere (>= 1).
-  int lease_max_attempts = 5;
 
   // --- outlier quarantine (Envoy-style ejection) ----------------------------
   /// Consecutive lease expiries that eject a worker from pick_worker

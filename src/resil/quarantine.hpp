@@ -52,9 +52,6 @@ class Quarantine {
   [[nodiscard]] sim::SimTime cooled_until(int w) const {
     return state_.at(static_cast<std::size_t>(w)).cooled_until;
   }
-  [[nodiscard]] int ejection_count(int w) const {
-    return state_.at(static_cast<std::size_t>(w)).ejections;
-  }
   [[nodiscard]] int expiry_streak(int w) const {
     return state_.at(static_cast<std::size_t>(w)).streak;
   }

@@ -29,6 +29,25 @@
 
 namespace tlb::sched {
 
+namespace {
+/// Election margin (relative dead band): a challenger displaces the
+/// incumbent mode only if its measured task-start rate exceeds
+/// (1 + kAdaptiveMargin) x the incumbent's. Equivalent measurements keep
+/// the incumbent — no flapping between modes that tie.
+constexpr double kAdaptiveMargin = 0.05;
+/// Fabric-pressure dead band (hottest candidate-path utilization): the
+/// latched pressure regime moves only when a sample crosses
+/// >= kAdaptivePressureHigh or <= kAdaptivePressureLow. A regime crossing
+/// to the opposite side of the band from where the incumbent was elected
+/// triggers re-exploration; oscillation inside the band never does.
+constexpr double kAdaptivePressureHigh = 0.50;
+constexpr double kAdaptivePressureLow = 0.25;
+/// Wait-drift trigger: during exploit, a rolling window whose mean
+/// observed wait exceeds kAdaptiveWaitExit x the elected mode's measured
+/// wait (floored at kWaitOffloadMin) triggers re-exploration.
+constexpr double kAdaptiveWaitExit = 2.0;
+}  // namespace
+
 Decision AdaptiveScheduler::pick(const nanos::Task& task) {
   step(task);
   ++mode_decisions_[static_cast<std::size_t>(mode_)];
@@ -92,7 +111,7 @@ void AdaptiveScheduler::elect() {
   const double incumbent_rate =
       probe_rate_[static_cast<std::size_t>(incumbent_)];
   if (best != incumbent_ &&
-      best_rate <= (1.0 + config_.adaptive_margin) * incumbent_rate) {
+      best_rate <= (1.0 + kAdaptiveMargin) * incumbent_rate) {
     best = incumbent_;
   }
   incumbent_ = best;
@@ -115,9 +134,9 @@ void AdaptiveScheduler::step(const nanos::Task& task) {
   // Pressure regime with a dead band: only a crossing of the high or low
   // threshold moves it; values inside [low, high) leave it latched.
   const double pressure = sampled_pressure(task);
-  if (pressure >= config_.adaptive_pressure_high) {
+  if (pressure >= kAdaptivePressureHigh) {
     regime_ = 1;
-  } else if (pressure <= config_.adaptive_pressure_low) {
+  } else if (pressure <= kAdaptivePressureLow) {
     regime_ = -1;
   }
 
@@ -167,10 +186,8 @@ void AdaptiveScheduler::step(const nanos::Task& task) {
   // minimum dwell (hysteresis #2) and only on a real trigger.
   ++exploit_windows_;
   if (exploit_windows_ < config_.adaptive_dwell) return;
-  const double drift_floor =
-      std::max(elected_wait_, config_.wait_offload_min);
-  const bool wait_drift =
-      mean_wait > config_.adaptive_wait_exit * drift_floor;
+  const double drift_floor = std::max(elected_wait_, kWaitOffloadMin);
+  const bool wait_drift = mean_wait > kAdaptiveWaitExit * drift_floor;
   const bool regime_shift = regime_ != elected_regime_;
   if (wait_drift || regime_shift) {
     exploring_ = true;

@@ -22,49 +22,6 @@ struct SchedConfig {
   /// tuned by RuntimeConfig::hier).
   std::string policy = "locality";
 
-  // --- congestion policy tuning ----------------------------------------------
-
-  /// Path utilization at/above which a remote candidate with data still
-  /// to move is steered away from (its uplink is saturated; streaming
-  /// more input bytes over it would only deepen the queue).
-  double congestion_avoid = 0.85;
-  /// EWMA factor for the per-helper flow-completion-time estimate:
-  /// ewma = smoothing * ewma + (1 - smoothing) * observed.
-  double fct_smoothing = 0.7;
-  /// Weight of the per-helper FCT estimate in the candidate cost
-  /// (seconds of penalty per second of smoothed FCT). Deliberately small:
-  /// observed FCTs include whole-transfer queueing and run ~100x the
-  /// instantaneous per-task transfer estimates, and the EWMA lags the
-  /// fabric state — as a primary signal it causes anti-locality
-  /// ping-ponging (steering to whichever helper was not used recently).
-  /// At this scale it breaks ties between similarly-loaded paths while
-  /// the live link utilization leads the decision.
-  double fct_penalty = 0.02;
-
-  // --- waittime policy tuning -------------------------------------------------
-
-  /// EWMA factor for the per-apprank task queue-wait estimate.
-  double wait_smoothing = 0.7;
-  /// Mean queue wait (seconds) below which remote offloading is
-  /// suppressed: tasks that barely wait at home gain nothing from paying
-  /// an offload transfer (Samfass et al.: offload on observed wait times,
-  /// not static scores).
-  sim::SimTime wait_offload_min = 0.005;
-  /// Half-life (seconds) of the wait estimates between observations: an
-  /// estimate read t seconds after its last sample is scaled by
-  /// 2^-(t / half_life), so a helper that went idle decays back towards
-  /// "no observed waiting" instead of keeping its last-seen value forever.
-  /// <= 0 disables the decay (legacy behaviour).
-  double wait_halflife = 0.5;
-  /// Per-helper throttle: a remote offload whose target helper's own
-  /// smoothed queue wait exceeds wait_helper_factor x the apprank's home
-  /// wait is suppressed — tasks queue there longer than at home, so the
-  /// transfer buys nothing. Helper waits are observed end-to-end (they
-  /// include the offload input transfer), so the factor leaves headroom:
-  /// only a helper whose waits dwarf the home wait is vetoed.
-  /// 0 disables the per-helper veto.
-  double wait_helper_factor = 4.0;
-
   // --- adaptive portfolio tuning ----------------------------------------------
   // The portfolio is explore/exploit on *measured* waits: probe each mode
   // for a window of decisions, elect the best-measured one, exploit it
@@ -78,23 +35,6 @@ struct SchedConfig {
   /// decision-counted window can close with zero elapsed time and
   /// measure nothing.
   sim::SimTime adaptive_window = 0.1;
-  /// Election margin (relative dead band): a challenger displaces the
-  /// incumbent mode only if its measured task-start rate exceeds
-  /// (1 + adaptive_margin) x the incumbent's. Equivalent measurements
-  /// keep the incumbent — no flapping between modes that tie.
-  double adaptive_margin = 0.05;
-  /// Fabric-pressure dead band (hottest candidate-path utilization): the
-  /// latched pressure regime moves only when a sample crosses
-  /// >= adaptive_pressure_high or <= adaptive_pressure_low. A regime
-  /// crossing to the opposite side of the band from where the incumbent
-  /// was elected triggers re-exploration; oscillation inside the band
-  /// never does.
-  double adaptive_pressure_high = 0.50;
-  double adaptive_pressure_low = 0.25;
-  /// Wait-drift trigger: during exploit, a rolling window whose mean
-  /// observed wait exceeds adaptive_wait_exit x the elected mode's
-  /// measured wait (floored at wait_offload_min) triggers re-exploration.
-  double adaptive_wait_exit = 2.0;
   /// Minimum exploit length in probe windows before any re-explore
   /// trigger is honoured (dwell): even a genuine regime change cannot
   /// flip the portfolio back immediately.
@@ -111,5 +51,35 @@ struct SchedConfig {
   /// mode's own equilibrium. false restores the always-warm behaviour.
   bool adaptive_cold_probe = true;
 };
+
+// --- feedback thresholds shared with tlb::hier ---------------------------------
+// Fixed by design rather than configurable: the balancing is transparent,
+// so nothing tunes them per run. The sched feedback policies and the hier
+// global balancer read the same values.
+
+/// Path utilization at/above which a remote candidate with data still to
+/// move is steered away from (its uplink is saturated; streaming more
+/// input bytes over it would only deepen the queue).
+inline constexpr double kCongestionAvoid = 0.85;
+/// EWMA factor for the queue-wait estimates:
+/// ewma = smoothing * decayed ewma + (1 - smoothing) * observed.
+inline constexpr double kWaitSmoothing = 0.7;
+/// Mean queue wait (seconds) below which remote offloading is suppressed:
+/// tasks that barely wait at home gain nothing from paying an offload
+/// transfer (Samfass et al.: offload on observed wait times, not static
+/// scores).
+inline constexpr sim::SimTime kWaitOffloadMin = 0.005;
+/// Half-life (seconds) of the wait estimates between observations: an
+/// estimate read t seconds after its last sample is scaled by
+/// 2^-(t / half_life), so a helper that went idle decays back towards
+/// "no observed waiting" instead of keeping its last-seen value forever.
+inline constexpr double kWaitHalflife = 0.5;
+/// Per-helper throttle: a remote offload whose target helper's own
+/// smoothed queue wait exceeds kWaitHelperFactor x the apprank's home
+/// wait is suppressed — tasks queue there longer than at home, so the
+/// transfer buys nothing. Helper waits are observed end-to-end (they
+/// include the offload input transfer), so the factor leaves headroom:
+/// only a helper whose waits dwarf the home wait is vetoed.
+inline constexpr double kWaitHelperFactor = 4.0;
 
 }  // namespace tlb::sched

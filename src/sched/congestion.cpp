@@ -4,6 +4,21 @@
 
 namespace tlb::sched {
 
+namespace {
+/// EWMA factor for the per-helper flow-completion-time estimate:
+/// ewma = smoothing * ewma + (1 - smoothing) * observed.
+constexpr double kFctSmoothing = 0.7;
+/// Weight of the per-helper FCT estimate in the candidate cost (seconds
+/// of penalty per second of smoothed FCT). Deliberately small: observed
+/// FCTs include whole-transfer queueing and run ~100x the instantaneous
+/// per-task transfer estimates, and the EWMA lags the fabric state — as
+/// a primary signal it causes anti-locality ping-ponging (steering to
+/// whichever helper was not used recently). At this scale it breaks ties
+/// between similarly-loaded paths while the live link utilization leads
+/// the decision.
+constexpr double kFctPenalty = 0.02;
+}  // namespace
+
 Decision CongestionScheduler::pick(const nanos::Task& task) {
   ++stats_.decisions;
   if (has_remote_candidate(task)) ++stats_.offloads_considered;
@@ -32,13 +47,13 @@ Decision CongestionScheduler::pick(const nanos::Task& task) {
     const int node = topo.worker(w).node;
     const std::uint64_t missing =
         loc.missing_input_bytes(task.accesses, node);
-    double cost = config_.fct_penalty * fct_estimate(w);
+    double cost = kFctPenalty * fct_estimate(w);
     if (missing > 0 && node != home_node) {
       // Input bytes overwhelmingly stream from the home node (the apprank
       // allocated its regions there), so the home -> candidate path is
       // the first-order transfer estimate.
       const double load = net->path_load(home_node, node);
-      if (load >= config_.congestion_avoid) continue;  // saturated: veto
+      if (load >= kCongestionAvoid) continue;  // saturated: veto
       const double residual =
           net->path_capacity(home_node, node) * (1.0 - load);
       cost += static_cast<double>(missing) / residual;
@@ -68,8 +83,7 @@ void CongestionScheduler::on_inputs_landed(core::WorkerId w,
   }
   double& ewma = fct_ewma_[static_cast<std::size_t>(w)];
   ewma = ewma == 0.0 ? fct
-                     : config_.fct_smoothing * ewma +
-                           (1.0 - config_.fct_smoothing) * fct;
+                     : kFctSmoothing * ewma + (1.0 - kFctSmoothing) * fct;
 }
 
 }  // namespace tlb::sched

@@ -5,40 +5,45 @@
 // that stops producing samples (idle, drained, or simply not chosen)
 // keeps its last estimate forever, and a burst that ended seconds ago
 // still reads as "busy". DecayEwma fixes that by decaying the estimate
-// towards zero with a configurable half-life between observations, so a
-// read at time t sees value * 2^-((t - last_observation) / half_life).
-// half_life <= 0 disables the decay (legacy last-seen behaviour).
+// towards zero with a half-life between observations, so a read at time t
+// sees value * 2^-((t - last_observation) / half_life).
 #pragma once
 
 #include <cmath>
 
+#include "sched/config.hpp"
 #include "sim/time.hpp"
 
 namespace tlb::sched {
 
+/// `Smoothing` is the weight of the decayed estimate in each blend;
+/// `HalfLife` (seconds) the decay between observations.
+template <double Smoothing, double HalfLife>
 class DecayEwma {
+  static_assert(HalfLife > 0.0, "the estimate must decay");
+
  public:
   /// Estimate as of `now`: the stored value decayed by the elapsed time
   /// since the last observation. Pure — repeated reads at the same time
   /// return the same value.
-  [[nodiscard]] double read(sim::SimTime now, double half_life) const {
-    if (half_life <= 0.0 || value_ == 0.0 || now <= updated_) return value_;
-    return value_ * std::exp2(-(now - updated_) / half_life);
+  [[nodiscard]] double read(sim::SimTime now) const {
+    if (value_ == 0.0 || now <= updated_) return value_;
+    return value_ * std::exp2(-(now - updated_) / HalfLife);
   }
 
   /// Folds one sample in at time `now`: the current (decayed) estimate is
-  /// blended as estimate = smoothing * decayed + (1 - smoothing) * sample.
-  void observe(double sample, sim::SimTime now, double smoothing,
-               double half_life) {
-    value_ = smoothing * read(now, half_life) + (1.0 - smoothing) * sample;
+  /// blended as estimate = Smoothing * decayed + (1 - Smoothing) * sample.
+  void observe(double sample, sim::SimTime now) {
+    value_ = Smoothing * read(now) + (1.0 - Smoothing) * sample;
     updated_ = now;
   }
-
-  [[nodiscard]] sim::SimTime last_updated() const { return updated_; }
 
  private:
   double value_ = 0.0;
   sim::SimTime updated_ = 0.0;
 };
+
+/// The queue-wait estimate of the waittime policy and the hier balancer.
+using WaitEwma = DecayEwma<kWaitSmoothing, kWaitHalflife>;
 
 }  // namespace tlb::sched

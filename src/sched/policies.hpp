@@ -23,7 +23,7 @@ class LocalityScheduler final : public Scheduler {
 /// candidate is costed by its estimated input-transfer time over the
 /// *currently loaded* path (net::LinkLoadView) plus an EWMA of the flow
 /// completion times this helper's past offloads observed. Candidates
-/// whose path is saturated (>= SchedConfig::congestion_avoid) with input
+/// whose path is saturated (>= kCongestionAvoid) with input
 /// bytes still to move are vetoed, steering offloads away from hot
 /// uplinks; when every remote option is vetoed the task is held centrally
 /// (idle workers pull it later — deferring beats streaming into a full
@@ -31,8 +31,7 @@ class LocalityScheduler final : public Scheduler {
 /// policy decays to the locality rule exactly.
 class CongestionScheduler final : public Scheduler {
  public:
-  CongestionScheduler(const SchedConfig& config, const RuntimeView& view)
-      : Scheduler(view), config_(config) {}
+  explicit CongestionScheduler(const RuntimeView& view) : Scheduler(view) {}
   [[nodiscard]] const char* name() const override { return "congestion"; }
   [[nodiscard]] Decision pick(const nanos::Task& task) override;
   void on_inputs_landed(core::WorkerId w, sim::SimTime fct) override;
@@ -46,25 +45,23 @@ class CongestionScheduler final : public Scheduler {
   }
 
  private:
-  SchedConfig config_;
   std::vector<double> fct_ewma_;  ///< per worker (lazily grown on rewires)
 };
 
 /// "waittime" — offload aggressiveness throttled by observed task waits
 /// (Samfass et al., "Lightweight Task Offloading Exploiting MPI Wait
 /// Times"): while the apprank's smoothed ready-to-start wait is below
-/// SchedConfig::wait_offload_min its tasks barely queue at home, so a
-/// remote placement would pay transfer cost for nothing and the offload
-/// is suppressed. Once waits build up the locality rule resumes — unless
-/// the chosen helper's *own* smoothed queue wait exceeds the home wait
-/// (wait_helper_factor), in which case the offload is equally pointless
-/// and is suppressed too. All estimates decay with wait_halflife between
+/// kWaitOffloadMin its tasks barely queue at home, so a remote placement
+/// would pay transfer cost for nothing and the offload is suppressed.
+/// Once waits build up the locality rule resumes — unless the chosen
+/// helper's *own* smoothed queue wait exceeds the home wait
+/// (kWaitHelperFactor), in which case the offload is equally pointless
+/// and is suppressed too. All estimates decay with kWaitHalflife between
 /// observations so an idle-then-bursty worker is never judged by stale
 /// samples.
 class WaittimeScheduler final : public Scheduler {
  public:
-  WaittimeScheduler(const SchedConfig& config, const RuntimeView& view)
-      : Scheduler(view), config_(config) {}
+  explicit WaittimeScheduler(const RuntimeView& view) : Scheduler(view) {}
   [[nodiscard]] const char* name() const override { return "waittime"; }
   [[nodiscard]] Decision pick(const nanos::Task& task) override;
   void on_task_started(const nanos::Task& task, core::WorkerId w,
@@ -75,15 +72,14 @@ class WaittimeScheduler final : public Scheduler {
   [[nodiscard]] double wait_estimate(int apprank) const {
     return static_cast<std::size_t>(apprank) < wait_ewma_.size()
                ? wait_ewma_[static_cast<std::size_t>(apprank)].read(
-                     view_.now(), config_.wait_halflife)
+                     view_.now())
                : 0.0;
   }
   /// Smoothed queue wait of tasks that started on worker `w` (seconds),
   /// decayed to the runtime's current clock.
   [[nodiscard]] double helper_wait_estimate(core::WorkerId w) const {
     return static_cast<std::size_t>(w) < helper_ewma_.size()
-               ? helper_ewma_[static_cast<std::size_t>(w)].read(
-                     view_.now(), config_.wait_halflife)
+               ? helper_ewma_[static_cast<std::size_t>(w)].read(view_.now())
                : 0.0;
   }
 
@@ -98,9 +94,8 @@ class WaittimeScheduler final : public Scheduler {
   }
 
  private:
-  SchedConfig config_;
-  std::vector<DecayEwma> wait_ewma_;    ///< per apprank
-  std::vector<DecayEwma> helper_ewma_;  ///< per worker (grown on rewires)
+  std::vector<WaitEwma> wait_ewma_;    ///< per apprank
+  std::vector<WaitEwma> helper_ewma_;  ///< per worker (grown on rewires)
 };
 
 /// "adaptive" — online portfolio selection over the fixed policies
@@ -119,14 +114,14 @@ class WaittimeScheduler final : public Scheduler {
 ///     *every* mode — waits cannot: suppression (waittime) deliberately
 ///     trades longer individual waits for fewer pointless transfers;
 ///   - elect: the highest-throughput mode wins, but the incumbent is
-///     displaced only if the challenger beats it by adaptive_margin
+///     displaced only if the challenger beats it by kAdaptiveMargin
 ///     (a relative dead band — hysteresis #1);
 ///   - exploit: the elected mode runs for at least adaptive_dwell probe
 ///     windows (hysteresis #2) and then indefinitely, until a re-explore
 ///     trigger fires: the rolling observed wait drifts past
-///     adaptive_wait_exit x the wait measured at election, or the
+///     kAdaptiveWaitExit x the wait measured at election, or the
 ///     fabric-pressure regime crosses to the opposite side of the
-///     [adaptive_pressure_low, adaptive_pressure_high] dead band
+///     [kAdaptivePressureLow, kAdaptivePressureHigh] dead band
 ///     (hysteresis #3 — oscillation inside the band never re-triggers).
 /// All feedback hooks are forwarded to every sub-policy so their
 /// estimators stay warm across switches.
@@ -138,8 +133,8 @@ class AdaptiveScheduler : public Scheduler {
       : Scheduler(view),
         config_(config),
         locality_(view),
-        congestion_(config, view),
-        waittime_(config, view) {}
+        congestion_(view),
+        waittime_(view) {}
 
   [[nodiscard]] const char* name() const override { return "adaptive"; }
   [[nodiscard]] Decision pick(const nanos::Task& task) override;
@@ -162,10 +157,6 @@ class AdaptiveScheduler : public Scheduler {
   /// (starts per simulated second; 0 until measured).
   [[nodiscard]] double probe_rate(Mode m) const {
     return probe_rate_[static_cast<std::size_t>(m)];
-  }
-  /// Mean observed wait measured during `m`'s last probe window (seconds).
-  [[nodiscard]] double probe_wait(Mode m) const {
-    return probe_wait_[static_cast<std::size_t>(m)];
   }
   /// Victim selections delegated while in `m` (portfolio mix).
   [[nodiscard]] std::uint64_t decisions_in(Mode m) const {

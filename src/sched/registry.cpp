@@ -21,14 +21,14 @@ constexpr Entry kBuiltins[] = {
        return std::make_unique<LocalityScheduler>(view);
      }},
     {"congestion",
-     [](const SchedConfig& config, const RuntimeView& view)
+     [](const SchedConfig&, const RuntimeView& view)
          -> std::unique_ptr<Scheduler> {
-       return std::make_unique<CongestionScheduler>(config, view);
+       return std::make_unique<CongestionScheduler>(view);
      }},
     {"waittime",
-     [](const SchedConfig& config, const RuntimeView& view)
+     [](const SchedConfig&, const RuntimeView& view)
          -> std::unique_ptr<Scheduler> {
-       return std::make_unique<WaittimeScheduler>(config, view);
+       return std::make_unique<WaittimeScheduler>(view);
      }},
     {"adaptive",
      [](const SchedConfig& config, const RuntimeView& view)

@@ -5,7 +5,6 @@
 // never links tlb_stream (the runtime constructs the sink).
 #pragma once
 
-#include <cstddef>
 #include <string>
 
 namespace tlb::stream {
@@ -23,11 +22,6 @@ struct StreamConfig {
   /// Spill file the binary span records are appended to. Created (or
   /// truncated) when the runtime constructs the sink.
   std::string path = "tlb_spans.stream";
-
-  /// Write-buffer size in bytes: records are staged in memory and handed
-  /// to the OS in chunks of this size, so the spill path costs one
-  /// buffered memcpy per record, not one syscall.
-  std::size_t buffer_bytes = 1 << 20;
 };
 
 }  // namespace tlb::stream

@@ -9,13 +9,20 @@
 
 namespace tlb::stream {
 
+namespace {
+/// Write-buffer size in bytes: records are staged in memory and handed to
+/// the OS in chunks of this size, so the spill path costs one buffered
+/// memcpy per record, not one syscall.
+constexpr std::size_t kBufferBytes = 1 << 20;
+}  // namespace
+
 StreamSink::StreamSink(StreamConfig config) : config_(std::move(config)) {
   file_ = std::fopen(config_.path.c_str(), "wb");
   if (file_ == nullptr) {
     throw std::runtime_error("stream: cannot create spill file " +
                              config_.path);
   }
-  buffer_.reserve(std::max<std::size_t>(config_.buffer_bytes, 4096));
+  buffer_.reserve(kBufferBytes);
   put_bytes(kHeaderMagic, sizeof(kHeaderMagic));
   put_u32(kFormatVersion);
   put_u32(0);  // reserved
@@ -52,7 +59,7 @@ void StreamSink::end_record() {
 }
 
 void StreamSink::flush_if_full() {
-  if (buffer_.size() < config_.buffer_bytes) return;
+  if (buffer_.size() < kBufferBytes) return;
   PROF_SCOPE("stream.flush");
   if (std::fwrite(buffer_.data(), 1, buffer_.size(), file_) !=
       buffer_.size()) {

@@ -6,6 +6,14 @@
 
 namespace tlb::svc {
 
+namespace {
+/// Retry budget of the admission controller: retries may be at most this
+/// ratio of the in-flight jobs plus this base (Envoy's default retry
+/// budget: 20% of active requests, at least 3 concurrent retries).
+constexpr double kRetryRatio = 0.2;
+constexpr int kRetryBase = 3;
+}  // namespace
+
 // --- TokenBucket -------------------------------------------------------------
 
 TokenBucket::TokenBucket(double rate, double burst)
@@ -111,7 +119,7 @@ AdmissionController::AdmissionController(const AdmissionConfig& config)
     : config_(config),
       bucket_(config.bucket_rate, config.bucket_burst),
       limiter_(config),
-      retry_budget_(config.retry_ratio, config.retry_base) {}
+      retry_budget_(kRetryRatio, kRetryBase) {}
 
 int AdmissionController::class_cap(int deadline_class) const {
   double fraction = 1.0;

@@ -58,7 +58,6 @@ class GradientLimiter {
   explicit GradientLimiter(const AdmissionConfig& config);
 
   [[nodiscard]] int limit() const { return limit_; }
-  [[nodiscard]] double min_latency() const { return min_latency_; }
   [[nodiscard]] int updates() const { return updates_; }
 
   /// Records one completed-job latency; may trigger a limit update.

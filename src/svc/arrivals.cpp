@@ -16,6 +16,10 @@ namespace {
 constexpr std::uint64_t kSeedArrivals = 0x5E21;
 constexpr std::uint64_t kSeedJobs = 0x5E22;
 constexpr double kTwoPi = 6.283185307179586476925286766559;
+/// Bursty shape: burst-state rate multiplier and mean burst-state dwell
+/// (seconds).
+constexpr double kBurstFactor = 4.0;
+constexpr double kBurstDwell = 2.0;
 }  // namespace
 
 ArrivalGenerator::ArrivalGenerator(ArrivalConfig config,
@@ -73,22 +77,21 @@ ArrivalGenerator::ArrivalGenerator(ArrivalConfig config,
     }
     // Start in the normal state; first toggle after one normal dwell.
     switch_at_ = rng_.exponential(
-        config_.burst_dwell * (1.0 - config_.burst_fraction) /
+        kBurstDwell * (1.0 - config_.burst_fraction) /
         config_.burst_fraction);
   }
 }
 
 double ArrivalGenerator::burst_rate_high() const {
-  return config_.rate * config_.burst_factor;
+  return config_.rate * kBurstFactor;
 }
 
 double ArrivalGenerator::burst_rate_low() const {
   // Chosen so fraction * high + (1 - fraction) * low == rate; clamped when
-  // burst_factor * burst_fraction >= 1 would push it negative (the mean
-  // then exceeds the nominal rate — the knobs over-ask, not a crash).
+  // kBurstFactor * burst_fraction >= 1 would push it negative (the mean
+  // then exceeds the nominal rate — the fraction over-asks, not a crash).
   const double f = config_.burst_fraction;
-  const double low =
-      config_.rate * (1.0 - f * config_.burst_factor) / (1.0 - f);
+  const double low = config_.rate * (1.0 - f * kBurstFactor) / (1.0 - f);
   return low > 1e-3 * config_.rate ? low : 1e-3 * config_.rate;
 }
 
@@ -114,8 +117,8 @@ void ArrivalGenerator::advance() {
         now_ = switch_at_;
         in_burst_ = !in_burst_;
         const double dwell =
-            in_burst_ ? config_.burst_dwell
-                      : config_.burst_dwell * (1.0 - config_.burst_fraction) /
+            in_burst_ ? kBurstDwell
+                      : kBurstDwell * (1.0 - config_.burst_fraction) /
                             config_.burst_fraction;
         switch_at_ = now_ + rng_.exponential(dwell);
       }

@@ -198,7 +198,7 @@ TEST(LocalMaster, NotePlacedDecrementsSlackOptimistically) {
 
 TEST(GlobalBalancer, PlacesAtHomeWhileItHasSlack) {
   FakeView view;
-  hier::GlobalBalancer gb(hier::HierConfig{}, sched::SchedConfig{}, view);
+  hier::GlobalBalancer gb(hier::HierConfig{}, view);
   sched::SchedStats stats;
   nanos::Task t;
   t.apprank = 0;
@@ -228,7 +228,7 @@ TEST(GlobalBalancer, SteersToTheLeastLoadedRemoteNode) {
   view.set_node_inflight(0, 4);  // home saturated (slack 0)
   view.set_node_inflight(1, 3);  // load_ratio 1.5
   view.set_node_inflight(2, 1);  // load_ratio 0.5 <- expected victim
-  hier::GlobalBalancer gb(hier::HierConfig{}, sched::SchedConfig{}, view);
+  hier::GlobalBalancer gb(hier::HierConfig{}, view);
   sched::SchedStats stats;
   nanos::Task t;
   t.apprank = 0;
@@ -243,7 +243,7 @@ TEST(GlobalBalancer, StaleSummaryNeverBeatsTheLiveLivenessCheck) {
   FakeView view;
   hier::HierConfig hconf;
   hconf.summary_period = 100.0;  // summaries effectively never expire
-  hier::GlobalBalancer gb(hconf, sched::SchedConfig{}, view);
+  hier::GlobalBalancer gb(hconf, view);
   sched::SchedStats stats;
   nanos::Task t;
   t.apprank = 0;
@@ -268,7 +268,7 @@ TEST(GlobalBalancer, StaleSummaryNeverBeatsTheLiveLivenessCheck) {
 TEST(GlobalBalancer, HotHelperNodesAreVetoedAsSuppressed) {
   FakeView view;
   view.set_node_inflight(0, 4);  // home saturated, remotes have slack
-  hier::GlobalBalancer gb(hier::HierConfig{}, sched::SchedConfig{}, view);
+  hier::GlobalBalancer gb(hier::HierConfig{}, view);
   sched::SchedStats stats;
   nanos::Task t;
   t.apprank = 0;

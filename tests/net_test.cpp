@@ -124,6 +124,24 @@ TEST(NetFabric, TwoFlowBottleneckSharesFairly) {
   EXPECT_DOUBLE_EQ(f.fabric->peak_utilization(0), 0.5);  // nic0.in
 }
 
+TEST(NetFabric, PeakCountsOnlyTheLastUtilizationOfEachInstant) {
+  // Crossbar(2): nic0.in = 0, nic1.out = 3. The flow is injected at t = 0
+  // (nic1.out at 1.0), and a second solve at the same instant halves
+  // nic0.in, which drops nic1.out to 0.5. The 1.0 never held, so the peak
+  // is 0.5 until a later instant restores the full rate.
+  auto f = FabricFixture::crossbar(2);
+  f.fabric->start_flow(0, 1, 1000, [] {});
+  f.engine.after(0.0, [&] { f.fabric->degrade_link(0, 0.5); });
+  f.engine.after(4.0, [&] { f.fabric->degrade_link(0, 1.0); });
+  f.engine.run_until(2.0);
+  EXPECT_DOUBLE_EQ(f.fabric->current_utilization(3), 0.5);
+  EXPECT_DOUBLE_EQ(f.fabric->peak_utilization(3), 0.5);
+  EXPECT_DOUBLE_EQ(f.fabric->peak_utilization(0), 1.0);  // capped link
+  f.engine.run();
+  EXPECT_DOUBLE_EQ(f.fabric->current_utilization(3), 0.0);
+  EXPECT_DOUBLE_EQ(f.fabric->peak_utilization(3), 1.0);  // held from t = 4
+}
+
 TEST(NetFabric, FinishedFlowReleasesBandwidth) {
   // A (500 B) and B (1000 B) share nic1.out at 50 B/s. A completes at
   // t = 10; B then streams its remaining 500 B at the full 100 B/s.

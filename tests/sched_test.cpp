@@ -407,32 +407,26 @@ TEST(SchedRegistry, NullFactoryThrows) {
 // estimate — the decayed value reads near zero and the first fresh sample
 // dominates the blend.
 TEST(DecayEwma, IdleThenBurstyIsNotJudgedByStaleSamples) {
-  sched::DecayEwma e;
+  sched::DecayEwma<0.7, 0.5> e;  // smoothing 0.7, half-life 0.5 s
   double now = 0.0;
   for (int i = 0; i < 10; ++i) {
-    e.observe(0.2, now, 0.7, 0.5);
+    e.observe(0.2, now);
     now += 0.01;
   }
-  const double busy = e.read(now, 0.5);
+  const double busy = e.read(now);
   EXPECT_GT(busy, 0.05);
 
   // 10 s idle = 20 half-lives: the estimate must have melted away.
   now += 10.0;
-  const double idle = e.read(now, 0.5);
+  const double idle = e.read(now);
   EXPECT_LT(idle, 1e-6);
   // read() is pure: it must not mutate the stored value.
-  EXPECT_DOUBLE_EQ(e.read(now, 0.5), idle);
+  EXPECT_DOUBLE_EQ(e.read(now), idle);
 
   // Bursty again: the new sample dominates (blend of ~0 decayed estimate
   // and the fresh observation), instead of resuming from the busy phase.
-  e.observe(0.1, now, 0.7, 0.5);
-  EXPECT_NEAR(e.read(now, 0.5), 0.3 * 0.1, 0.005);
-}
-
-TEST(DecayEwma, NonPositiveHalfLifeDisablesDecay) {
-  sched::DecayEwma legacy;
-  legacy.observe(0.2, 0.0, 0.7, 0.0);
-  EXPECT_DOUBLE_EQ(legacy.read(1000.0, 0.0), legacy.read(0.0, 0.0));
+  e.observe(0.1, now);
+  EXPECT_NEAR(e.read(now), 0.3 * 0.1, 0.005);
 }
 
 // --- adaptive portfolio: explore/exploit with hysteresis ----------------------
@@ -551,7 +545,7 @@ TEST(AdaptivePolicy, WaitDriftTriggersReExploration) {
   });
   ASSERT_EQ(s.incumbent(), AMode::Congestion);
 
-  // The incumbent's observed waits blow past adaptive_wait_exit x the
+  // The incumbent's observed waits blow past kAdaptiveWaitExit x the
   // wait measured at election: the portfolio must notice, re-measure,
   // and elect whichever mode now performs best.
   drive(s, view, 160, [](AMode m) {
@@ -601,10 +595,10 @@ TEST(AdaptivePolicy, WaittimeProbeOpensCold) {
   TestAdaptive s(cfg, view);
   ASSERT_TRUE(drive_into_waittime_probe(s, view));
   // Entering the probe reset the estimator: nothing observed yet, so the
-  // estimate reads exactly "never waited" — well under wait_offload_min,
+  // estimate reads exactly "never waited" — well under kWaitOffloadMin,
   // where the mode's suppression fixed point is reachable.
   EXPECT_EQ(s.waittime().wait_estimate(0), 0.0);
-  EXPECT_LT(s.waittime().wait_estimate(0), cfg.wait_offload_min);
+  EXPECT_LT(s.waittime().wait_estimate(0), sched::kWaitOffloadMin);
 }
 
 TEST(AdaptivePolicy, ColdProbeOffRestoresWarmCarryover) {
@@ -614,7 +608,7 @@ TEST(AdaptivePolicy, ColdProbeOffRestoresWarmCarryover) {
   TestAdaptive s(cfg, view);
   ASSERT_TRUE(drive_into_waittime_probe(s, view));
   // Legacy behaviour: the probe opens on the previous modes' hot waits.
-  EXPECT_GT(s.waittime().wait_estimate(0), cfg.wait_offload_min);
+  EXPECT_GT(s.waittime().wait_estimate(0), sched::kWaitOffloadMin);
 }
 
 }  // namespace

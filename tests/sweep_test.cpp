@@ -26,11 +26,19 @@ struct SweepCase {
 
 std::string case_name(const ::testing::TestParamInfo<SweepCase>& info) {
   const auto& c = info.param;
-  const std::string p = core::to_string(c.policy);
-  return "n" + std::to_string(c.nodes) + "x" + std::to_string(c.cores) +
-         "_r" + std::to_string(c.per_node) + "_d" +
-         std::to_string(c.degree) + "_" + p + "_i" +
-         std::to_string(static_cast<int>(c.imbalance * 10));
+  std::string name = "n";
+  name += std::to_string(c.nodes);
+  name += "x";
+  name += std::to_string(c.cores);
+  name += "_r";
+  name += std::to_string(c.per_node);
+  name += "_d";
+  name += std::to_string(c.degree);
+  name += "_";
+  name += core::to_string(c.policy);
+  name += "_i";
+  name += std::to_string(static_cast<int>(c.imbalance * 10));
+  return name;
 }
 
 class RuntimeSweep : public ::testing::TestWithParam<SweepCase> {};
