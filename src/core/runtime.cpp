@@ -768,8 +768,8 @@ void ClusterRuntime::dispatch(WorkerId w) {
   ApprankState& st = appranks_[static_cast<std::size_t>(info.apprank)];
 
   while (true) {
-    const auto idle = nc.idle_leased_cores(w);
-    if (idle.empty()) return;
+    const int idle = nc.idle_leased_count(w);
+    if (idle == 0) return;
     if (ws.queue.empty()) {
       // Steal from the apprank's central queue: an idle core is capacity
       // by definition ("stolen as tasks complete", §5.5). A remote
@@ -777,7 +777,7 @@ void ClusterRuntime::dispatch(WorkerId w) {
       // so pre-claim at most one in-flight task per idle core; each
       // delivery callback kicks this node again.
       if (st.central.empty()) return;
-      if (ws.pending >= static_cast<int>(idle.size())) return;
+      if (ws.pending >= idle) return;
       const nanos::TaskId id = st.central.front();
       st.central.pop_front();
       assign_to_worker(id, w);
@@ -785,7 +785,7 @@ void ClusterRuntime::dispatch(WorkerId w) {
     }
     const nanos::TaskId id = ws.queue.front();
     ws.queue.pop_front();
-    start_task(id, w, idle.front());
+    start_task(id, w, nc.first_idle_leased(w));
   }
 }
 
@@ -1017,6 +1017,7 @@ void ClusterRuntime::complete_task(nanos::TaskId id) {
 }
 
 void ClusterRuntime::kick_node(int node) {
+  PROF_SCOPE("core.kick_node");
   dlb::NodeCores& nc = *node_cores_[static_cast<std::size_t>(node)];
   dlb::LewiModule& lw = *lewi_[static_cast<std::size_t>(node)];
   const auto& residents = topology_->workers_on_node(node);
@@ -1040,10 +1041,10 @@ void ClusterRuntime::kick_node(int node) {
 
   // 1. Owners with backlog reclaim their lent-out cores (§5.3).
   if (lw.enabled()) {
+    PROF_SCOPE("dlb.lewi");
     for (WorkerId w : residents) {
       if (!is_alive(w)) continue;
-      const int idle = static_cast<int>(nc.idle_leased_cores(w).size());
-      const int deficit = backlog_of(w) - idle;
+      const int deficit = backlog_of(w) - nc.idle_leased_count(w);
       if (deficit > 0) lw.reclaim_for(w, deficit);
     }
   }
@@ -1051,16 +1052,21 @@ void ClusterRuntime::kick_node(int node) {
   for (WorkerId w : residents) dispatch(w);
   // 3. Idle workers lend their remaining cores into the pool.
   if (lw.enabled()) {
-    for (WorkerId w : residents) {
-      if (is_alive(w) && backlog_of(w) == 0) lw.lend_idle(w);
+    {
+      PROF_SCOPE("dlb.lewi");
+      for (WorkerId w : residents) {
+        if (is_alive(w) && backlog_of(w) == 0) lw.lend_idle(w);
+      }
     }
     // 4. Backlogged workers borrow from the pool.
     for (WorkerId w : residents) {
       if (!is_alive(w)) continue;
-      const int idle = static_cast<int>(nc.idle_leased_cores(w).size());
-      const int want = backlog_of(w) - idle;
+      const int want = backlog_of(w) - nc.idle_leased_count(w);
       if (want > 0) {
-        lw.borrow(w, want);
+        {
+          PROF_SCOPE("dlb.lewi");
+          lw.borrow(w, want);
+        }
         dispatch(w);
       }
     }

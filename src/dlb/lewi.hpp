@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "dlb/core_registry.hpp"
 
@@ -22,17 +21,18 @@ class LewiModule {
 
   [[nodiscard]] bool enabled() const { return enabled_; }
 
-  /// Lends all of `w`'s idle *owned* cores into the pool. Idle *borrowed*
-  /// cores are released instead. Returns the number of cores lent+released.
+  /// Lends all of `w`'s idle *owned* cores into the pool, lowest index
+  /// first. Idle *borrowed* cores are released instead. Returns the number
+  /// of cores lent+released.
   int lend_idle(WorkerId w);
 
-  /// Borrows up to `max_cores` pooled cores for `w`.
-  /// Returns the core indices borrowed.
-  std::vector<int> borrow(WorkerId w, int max_cores);
+  /// Borrows up to `max_cores` pooled cores for `w`, lowest index first.
+  /// Returns the number of cores borrowed.
+  int borrow(WorkerId w, int max_cores);
 
   /// Owner `w` needs cores again: reclaims up to `needed` of its lent-out
-  /// cores (idle ones return immediately; running ones at task end).
-  /// Returns how many reclaims were issued.
+  /// cores, lowest index first (idle ones return immediately; running ones
+  /// at task end). Returns how many reclaims were issued.
   int reclaim_for(WorkerId w, int needed);
 
   // Lifetime statistics (diagnostics / tests).

@@ -20,9 +20,11 @@ std::uint64_t LocalMaster::refresh(const sched::RuntimeView& view,
     ws.owned = view.owned_cores(w);
     ws.inflight = view.inflight(w);
     ws.slack = per_core * ws.owned - ws.inflight;
-    // The owned-core read walks the node's core registry (O(cores/node));
-    // the in-flight read is one probe. This is the cost the summary
-    // amortizes: flat policies pay it per decision, we pay it per refresh.
+    // The owned-core read is charged as a walk of the node's core
+    // registry (O(cores/node), the modelled cost of a flat registry; the
+    // count itself is kept by dlb::NodeCores); the in-flight read is one
+    // probe. This is the cost the summary amortizes: flat policies pay it
+    // per decision, we pay it per refresh.
     touched += 1 + static_cast<std::uint64_t>(ws.owned > 0 ? ws.owned : 1);
     if (view.usable(w)) {
       summary_.total_slack += std::max(0, ws.slack);

@@ -2,14 +2,15 @@
 // levels (tlb::hier).
 //
 // A flat policy probes global state on every victim selection: the
-// in-flight throttle alone walks the node's core registry per candidate
-// (dlb::NodeCores::owned_count is O(cores/node)), so one decision touches
-// O(cores) state and the cost grows with the cluster. The hierarchical
-// scheduler caps that: each node's local master condenses its workers
-// into the fixed-size summary below, and the global balancer decides from
-// summaries — O(1) per node consulted, refresh cost amortized over the
-// summary period (Eleliemy & Ciorba's two-level MPI+MPI self-scheduling
-// applied to victim selection).
+// in-flight throttle alone reads each candidate's owned-core state, which
+// the probe accounting charges as one touch per owned core (the cost of
+// walking a flat core registry; dlb::NodeCores itself keeps the count), so
+// one decision touches O(cores) state and the cost grows with the cluster.
+// The hierarchical scheduler caps that: each node's local master
+// condenses its workers into the fixed-size summary below, and the global
+// balancer decides from summaries — O(1) per node consulted, refresh cost
+// amortized over the summary period (Eleliemy & Ciorba's two-level
+// MPI+MPI self-scheduling applied to victim selection).
 #pragma once
 
 #include <vector>

@@ -254,8 +254,11 @@ void Fabric::solve() {
 
 double Fabric::fct_quantile(double q) const {
   if (fcts_.empty()) return 0.0;
-  std::vector<double> sorted = fcts_;
-  std::sort(sorted.begin(), sorted.end());
+  if (sorted_fcts_.size() != fcts_.size()) {
+    sorted_fcts_ = fcts_;
+    std::sort(sorted_fcts_.begin(), sorted_fcts_.end());
+  }
+  const std::vector<double>& sorted = sorted_fcts_;
   const double pos = q * static_cast<double>(sorted.size() - 1);
   const std::size_t lo = static_cast<std::size_t>(pos);
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);

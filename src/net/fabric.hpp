@@ -182,6 +182,9 @@ class Fabric {
   std::vector<char> congested_;
   CongestionObserver on_congestion_;
   std::vector<double> fcts_;
+  /// fcts_ sorted on the first fct_quantile() after an append; fcts_ only
+  /// grows, so a size mismatch marks the copy stale.
+  mutable std::vector<double> sorted_fcts_;
   std::uint64_t started_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t cancelled_ = 0;

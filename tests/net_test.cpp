@@ -189,6 +189,23 @@ TEST(NetFabric, ThreeFlowMaxMinOnOversubscribedFatTree) {
   EXPECT_NEAR(f.fabric->fct_quantile(0.99), 40.0, 0.5);
 }
 
+TEST(NetFabric, FctQuantileSeesFlowsCompletedAfterAQuery) {
+  // fct_quantile sorts lazily; a flow completing after a query must show
+  // up in the next one. A: 100 B alone (FCT 1 s); B, started from A's
+  // callback: 300 B (FCT 3 s).
+  FabricFixture f = FabricFixture::crossbar(2);
+  double after_a = -1.0;
+  f.fabric->start_flow(0, 1, 100, [&] {
+    after_a = f.fabric->fct_quantile(1.0);
+    f.fabric->start_flow(0, 1, 300, [] {});
+  });
+  f.engine.run();
+  EXPECT_DOUBLE_EQ(after_a, 1.0);
+  EXPECT_DOUBLE_EQ(f.fabric->fct_quantile(0.0), 1.0);
+  EXPECT_DOUBLE_EQ(f.fabric->fct_quantile(1.0), 3.0);
+  EXPECT_DOUBLE_EQ(f.fabric->fct_quantile(0.5), 2.0);
+}
+
 TEST(NetFabric, ZeroByteFlowCostsLatencyAndSkipsFctSamples) {
   FabricFixture f(NetTopology::crossbar(2, 100.0, 2e-6));
   double done = -1.0;
