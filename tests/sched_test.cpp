@@ -89,6 +89,9 @@ class FakeView final : public sched::RuntimeView {
 // binary (the §5.5 rule still hard-coded in core/runtime.cpp) and must
 // never change for sched=locality: they prove the extraction is
 // bit-identical, including crash/rescue re-queues and net-mode runs.
+// kGoldenHeartbeat and kGoldenElastic were captured before ClusterRuntime
+// folded its parallel per-worker and per-node vectors into one record
+// each; they pin the lease protocol and elastic membership paths.
 
 std::uint64_t fp_mix(std::uint64_t h, std::uint64_t v) {
   h ^= v;
@@ -127,6 +130,8 @@ std::uint64_t schedule_fingerprint(const core::ClusterRuntime& rt,
 constexpr std::uint64_t kGoldenPlain = 0x5515139c5bf2c300ull;
 constexpr std::uint64_t kGoldenCrash = 0x58b761ad63ad7735ull;
 constexpr std::uint64_t kGoldenNet = 0xb613ed57f79b2e8aull;
+constexpr std::uint64_t kGoldenHeartbeat = 0x3cf07404c52a92d1ull;
+constexpr std::uint64_t kGoldenElastic = 0xc65ff49cc44887c7ull;
 
 core::RuntimeConfig plain_config() {
   core::RuntimeConfig cfg;
@@ -211,6 +216,83 @@ TEST(GoldenSchedule, CrashRescueReplaysIdentically) {
           .crash_worker(rt.topology().workers_of_apprank(0)[1], 1.5));
   injector.attach(rt);
   EXPECT_EQ(schedule_fingerprint(rt, rt.run(wl)), kGoldenCrash);
+}
+
+// Heartbeat detection under message loss, a short link blackout and a
+// helper crash: lease grants, ACKs, retransmits and expiries, a true
+// detection, false suspicions with quarantine and readmission, and the
+// ghost/zombie completions they leave behind all replay bit-identically.
+TEST(GoldenSchedule, HeartbeatLeasesReplayIdentically) {
+  core::RuntimeConfig cfg;
+  cfg.cluster = sim::ClusterSpec::homogeneous(4, 8);
+  cfg.appranks_per_node = 1;
+  cfg.degree = 2;
+  cfg.policy = core::PolicyKind::Global;
+  cfg.resil.detection = resil::DetectionMode::Heartbeat;
+  // A lease must be acknowledged within milliseconds, so the slowed
+  // window below expires leases whose ACKs are merely late.
+  cfg.resil.lease_timeout = 0.002;
+  cfg.resil.lease_timeout_cap = 0.004;
+  core::ClusterRuntime rt(cfg);
+  apps::SyntheticConfig scfg;
+  scfg.appranks = 4;
+  scfg.iterations = 6;
+  scfg.tasks_per_rank = 120;
+  scfg.imbalance = 2.0;
+  apps::SyntheticWorkload wl(scfg);
+  // latency_mult turns the ~2 us link latency into ~0.5 s per message for
+  // the blackout window: long enough for phi to cross its threshold.
+  const double blackout_mult = 0.5 / cfg.cluster.link.latency;
+  const double slow_mult = 0.005 / cfg.cluster.link.latency;
+  fault::FaultInjector injector(
+      fault::FaultPlan()
+          .lose_messages(0.25, 0.3, 2.5)
+          .degrade_link(slow_mult, 1.0, 0.0, 0.8, 1.2)
+          .degrade_link(blackout_mult, 1.0, 0.0, 2.6, 3.0)
+          .crash_worker(rt.topology().workers_of_apprank(0)[1], 1.5));
+  injector.attach(rt);
+  const core::RunResult r = rt.run(wl);
+  EXPECT_EQ(schedule_fingerprint(rt, r), kGoldenHeartbeat);
+  EXPECT_GT(r.lease_retransmits, 0u);
+  EXPECT_GT(r.lease_expiries, 0u);
+  EXPECT_EQ(r.detections, 1u);
+  EXPECT_GT(r.false_suspicions, 0u);
+  EXPECT_GT(r.duplicates_suppressed, 0u);
+}
+
+// Elastic membership in Oracle mode: a node joins mid-run (add_helper per
+// apprank, fresh DLB modules, immediate re-solve) and later retires
+// (drain, rescue of queued assignments, capacity removed from the policy).
+TEST(GoldenSchedule, ElasticGrowAndRetireReplayIdentically) {
+  core::RuntimeConfig cfg = plain_config();
+  cfg.cluster = sim::ClusterSpec::homogeneous(3, 8);
+  cfg.appranks_per_node = 1;
+  cfg.degree = 2;
+  sim::Engine engine;
+  core::ClusterRuntime rt(cfg, &engine);
+  apps::SyntheticConfig scfg = plain_workload();
+  scfg.appranks = 3;
+  scfg.iterations = 6;
+  scfg.tasks_per_rank = 80;
+  apps::SyntheticWorkload wl(scfg);
+  bool done = false;
+  rt.start(wl, [&] { done = true; });
+  sim::NodeSpec spec;
+  spec.cores = 8;
+  int grown = -1;
+  engine.at(0.3, [&] {
+    if (!done) grown = rt.grow_node(spec);
+  });
+  engine.at(1.0, [&] {
+    if (!done && grown >= 0) rt.retire_node(grown);
+  });
+  engine.run();
+  const core::RunResult r = rt.finalize();
+  ASSERT_TRUE(done);
+  ASSERT_GE(grown, 0);
+  EXPECT_TRUE(rt.node_retired(grown));
+  EXPECT_GT(r.tasks_reexecuted, 0u);  // the retire rescued queued work
+  EXPECT_EQ(schedule_fingerprint(rt, r), kGoldenElastic);
 }
 
 TEST(GoldenSchedule, NetEnabledRunReplaysIdentically) {
