@@ -45,6 +45,19 @@ void force_plan(dlb::NodeCores& cores,
 
 }  // namespace
 
+template <class F>
+void ClusterRuntime::send_ctrl(WorkerId src, WorkerId dst, int tag,
+                               F on_delivered) {
+  ctrl_comm_->send(src, dst, tag, 0,
+                   [fn = std::move(on_delivered)](const vmpi::Message&) {
+                     fn();
+                   });
+  // Consume the message at the receiver (the logic lives in the delivery
+  // callback above; this keeps the mailbox from accumulating).
+  ctrl_comm_->recv(dst, vmpi::kAnySource, vmpi::kAnyTag,
+                   [](const vmpi::Message&) {});
+}
+
 ClusterRuntime::ClusterRuntime(RuntimeConfig config, sim::Engine* shared_engine)
     : config_(std::move(config)),
       owned_engine_(shared_engine == nullptr ? std::make_unique<sim::Engine>()
@@ -91,21 +104,9 @@ ClusterRuntime::ClusterRuntime(RuntimeConfig config, sim::Engine* shared_engine)
   app_comm_->set_fault_seed(root.fork(kSeedAppComm).next_u64());
   ctrl_comm_->set_fault_seed(root.fork(kSeedCtrlComm).next_u64());
 
-  node_speed_.reserve(config_.cluster.nodes.size());
-  for (const auto& n : config_.cluster.nodes) node_speed_.push_back(n.speed);
-  alive_.assign(static_cast<std::size_t>(topology_->worker_count()), 1);
-  retired_.assign(static_cast<std::size_t>(topology_->worker_count()), 0);
-  node_retired_.assign(static_cast<std::size_t>(topology_->node_count()), 0);
-  suspected_.assign(static_cast<std::size_t>(topology_->worker_count()), 0);
-  last_heartbeat_.assign(static_cast<std::size_t>(topology_->worker_count()),
-                         -1.0);
-  crashed_at_.assign(static_cast<std::size_t>(topology_->worker_count()),
-                     -1.0);
   if (resil_active()) {
-    detectors_.reserve(static_cast<std::size_t>(topology_->worker_count()));
-    for (int w = 0; w < topology_->worker_count(); ++w) {
-      detectors_.emplace_back(resil::kPhiWindow, resil::kPhiMinStd);
-    }
+    detectors_.assign(static_cast<std::size_t>(topology_->worker_count()),
+                      {resil::kPhiWindow, resil::kPhiMinStd});
     quarantine_ = std::make_unique<resil::Quarantine>(
         topology_->worker_count(), config_.resil);
   }
@@ -114,26 +115,19 @@ ClusterRuntime::ClusterRuntime(RuntimeConfig config, sim::Engine* shared_engine)
     elastic_ctrl_ = std::make_unique<elastic::ElasticController>(config_.elastic);
   }
 
-  node_cores_.reserve(static_cast<std::size_t>(topology_->node_count()));
-  lewi_.reserve(node_cores_.capacity());
-  drom_.reserve(node_cores_.capacity());
   for (int n = 0; n < topology_->node_count(); ++n) {
-    const int cores = config_.cluster.nodes[static_cast<std::size_t>(n)].cores;
+    const sim::NodeSpec& spec =
+        config_.cluster.nodes[static_cast<std::size_t>(n)];
     const auto& residents = topology_->workers_on_node(n);
     assert(!residents.empty());
-    if (static_cast<int>(residents.size()) > cores) {
+    if (static_cast<int>(residents.size()) > spec.cores) {
       throw std::invalid_argument(
           "ClusterRuntime: node " + std::to_string(n) + " hosts " +
           std::to_string(residents.size()) + " workers but has only " +
-          std::to_string(cores) +
+          std::to_string(spec.cores) +
           " cores; lower the offloading degree or appranks per node");
     }
-    node_cores_.push_back(
-        std::make_unique<dlb::NodeCores>(cores, residents.front()));
-    lewi_.push_back(
-        std::make_unique<dlb::LewiModule>(*node_cores_.back(), config_.lewi));
-    drom_.push_back(std::make_unique<dlb::DromModule>(*node_cores_.back(),
-                                                      config_.drom_active()));
+    add_node_state(spec.cores, residents.front(), spec.speed);
   }
 
   talp_ = std::make_unique<dlb::TalpModule>(
@@ -208,16 +202,8 @@ ClusterRuntime::~ClusterRuntime() {
   if (prof::enabled()) {
     // Balance the core.exec / core.pending charges of records still live
     // at teardown (an aborted run, or executions parked on a crash).
-    if (!running_.empty()) {
-      prof::free_note(prof::AllocTag::CoreExec,
-                      running_.size() * sizeof(RunningExec));
-    }
-    for (const auto& [id, pd] : pending_data_) {
-      (void)id;
-      prof::free_note(
-          prof::AllocTag::CorePending,
-          sizeof(PendingData) + pd.flows.capacity() * sizeof(net::FlowId));
-    }
+    while (!running_.empty()) erase_exec(running_.begin());
+    while (!pending_data_.empty()) erase_pending(pending_data_.begin());
   }
 }
 
@@ -336,10 +322,6 @@ void ClusterRuntime::start(Workload& workload,
   start_time_ = engine_.now();
   last_barrier_time_ = engine_.now();
   window_start_time_ = engine_.now();
-  if (config_.obs.pop_windows) {
-    window_busy_.assign(static_cast<std::size_t>(topology_->worker_count()),
-                        0.0);
-  }
   workload.reseed(sim::Rng(config_.seed).fork(kSeedWorkload).next_u64());
 
   // Initial ownership: one core per helper, the rest split among the
@@ -349,8 +331,7 @@ void ClusterRuntime::start(Workload& workload,
   for (const auto& n : config_.cluster.nodes) node_core_counts.push_back(n.cores);
   const OwnershipPlan initial = initial_plan(*topology_, node_core_counts);
   for (int n = 0; n < topology_->node_count(); ++n) {
-    force_plan(*node_cores_[static_cast<std::size_t>(n)],
-               initial[static_cast<std::size_t>(n)]);
+    force_plan(node_state(n).cores, initial[static_cast<std::size_t>(n)]);
   }
   record_ownership();
 
@@ -387,16 +368,12 @@ RunResult ClusterRuntime::finalize() {
   result_.policy_downshifts = m_.policy_downshifts->value();
   result_.rewired_edges = m_.rewired_edges->value();
   result_.perfect_time = m_.perfect_time->value();
-  result_.tasks_total = recorder_->tasks_total();
-  result_.tasks_offloaded = recorder_->tasks_offloaded();
-  result_.work_total = recorder_->work_total();
-  result_.work_offloaded = recorder_->work_offloaded();
-  for (const auto& lw : lewi_) {
-    result_.lewi_lends += lw->lends();
-    result_.lewi_borrows += lw->borrows();
-    result_.lewi_reclaims += lw->reclaims();
+  for (const auto& ns : nodes_) {
+    result_.lewi_lends += ns->lewi.lends();
+    result_.lewi_borrows += ns->lewi.borrows();
+    result_.lewi_reclaims += ns->lewi.reclaims();
+    result_.drom_moves += ns->drom.ownership_changes();
   }
-  for (const auto& dm : drom_) result_.drom_moves += dm->ownership_changes();
   result_.messages_lost =
       app_comm_->messages_lost() + ctrl_comm_->messages_lost();
   result_.retransmissions =
@@ -568,19 +545,17 @@ void ClusterRuntime::capture_pop_window(int epoch) {
   const int workers = topology_->worker_count();
   std::vector<obs::PopWorkerInput> inputs;
   inputs.reserve(static_cast<std::size_t>(workers));
-  std::vector<double> busy_now(static_cast<std::size_t>(workers), 0.0);
   for (int w = 0; w < workers; ++w) {
-    busy_now[static_cast<std::size_t>(w)] = talp_->busy_core_seconds(w);
-    // Workers added mid-run (expander rewire) have no snapshot yet: their
-    // whole busy total belongs to this window.
-    const double prev = static_cast<std::size_t>(w) < window_busy_.size()
-                            ? window_busy_[static_cast<std::size_t>(w)]
-                            : 0.0;
+    // Workers added mid-run (expander rewire) start from a zero snapshot:
+    // their whole busy total belongs to this window.
+    double& snapshot = worker_state(w).window_busy;
+    const double busy = talp_->busy_core_seconds(w);
     obs::PopWorkerInput in;
     in.worker = w;
     in.apprank = topology_->worker(w).apprank;
-    in.busy_core_seconds = busy_now[static_cast<std::size_t>(w)] - prev;
+    in.busy_core_seconds = busy - snapshot;
     inputs.push_back(in);
+    snapshot = busy;
   }
   double total_cores = 0.0;
   for (const auto& n : config_.cluster.nodes) total_cores += n.cores;
@@ -595,15 +570,14 @@ void ClusterRuntime::capture_pop_window(int epoch) {
   row.load_balance = r.load_balance;
   row.communication_efficiency = r.communication_efficiency;
   pop_windows_.push_back(row);
-  window_busy_ = std::move(busy_now);
   window_start_time_ = end;
 }
 
 // --- Scheduling (§5.5) --------------------------------------------------------
 
 int ClusterRuntime::owned_cores(WorkerId w) const {
-  const int node = topology_->worker(w).node;
-  return node_cores_[static_cast<std::size_t>(node)]->owned_count(w);
+  return nodes_[static_cast<std::size_t>(topology_->worker(w).node)]
+      ->cores.owned_count(w);
 }
 
 int ClusterRuntime::pick_worker(const nanos::Task& task) {
@@ -614,31 +588,35 @@ int ClusterRuntime::pick_worker(const nanos::Task& task) {
   // annotated on the trace timeline so figure scripts can correlate them
   // with congestion marks.
   const sched::Decision d = scheduler_->pick(task);
-  if (d.kind == sched::DecisionKind::Steered) {
-    recorder_->mark(engine_.now(),
-                    "sched steer: task " + std::to_string(task.id) +
-                        " -> worker " + std::to_string(d.worker),
-                    trace::MarkKind::SchedSteer, d.worker);
-    sink().sched_decision(task.id, obs::SchedVerdict::Steered, d.worker,
-                          engine_.now());
-  } else if (d.kind == sched::DecisionKind::Suppressed) {
-    recorder_->mark(engine_.now(),
-                    "sched suppress: task " + std::to_string(task.id) +
-                        (d.worker >= 0 ? " held home" : " held centrally"),
-                    trace::MarkKind::SchedSuppress, d.worker);
-    sink().sched_decision(task.id, obs::SchedVerdict::Suppressed, d.worker,
-                          engine_.now());
+  if (d.kind == sched::DecisionKind::Baseline) return d.worker;
+  const bool steered = d.kind == sched::DecisionKind::Steered;
+  if (recorder_->timeline()) {
+    const std::string task_label = "task " + std::to_string(task.id);
+    recorder_->mark(
+        engine_.now(),
+        steered ? "sched steer: " + task_label + " -> worker " +
+                      std::to_string(d.worker)
+                : "sched suppress: " + task_label +
+                      (d.worker >= 0 ? " held home" : " held centrally"),
+        steered ? trace::MarkKind::SchedSteer : trace::MarkKind::SchedSuppress,
+        d.worker);
   }
+  sink().sched_decision(task.id,
+                        steered ? obs::SchedVerdict::Steered
+                                : obs::SchedVerdict::Suppressed,
+                        d.worker, engine_.now());
   return d.worker;
 }
 
 void ClusterRuntime::on_link_congestion(net::LinkId link, bool congested) {
   const std::string& name = fabric_->topology().link(link).name;
-  recorder_->mark(engine_.now(),
-                  (congested ? "net congestion: " : "net cleared: ") + name,
-                  congested ? trace::MarkKind::NetCongestion
-                            : trace::MarkKind::NetCleared,
-                  link);
+  if (recorder_->timeline()) {
+    recorder_->mark(engine_.now(),
+                    (congested ? "net congestion: " : "net cleared: ") + name,
+                    congested ? trace::MarkKind::NetCongestion
+                              : trace::MarkKind::NetCleared,
+                    link);
+  }
   sink().link_congestion(link, name, congested, engine_.now());
 }
 
@@ -664,7 +642,7 @@ void ClusterRuntime::assign_to_worker(nanos::TaskId id, WorkerId w) {
   assert(usable(w));
   task.state = nanos::TaskState::Scheduled;
   task.scheduled_node = info.node;
-  workers_[static_cast<std::size_t>(w)].inflight += 1;
+  worker_state(w).inflight += 1;
   sink().task_scheduled(id, w, info.node, !info.is_home, engine_.now());
 
   // Offloading is final from here (§5.5). A home assignment is a local
@@ -677,7 +655,7 @@ void ClusterRuntime::assign_to_worker(nanos::TaskId id, WorkerId w) {
     return;
   }
   m_.control_messages->inc();
-  workers_[static_cast<std::size_t>(w)].pending += 1;
+  worker_state(w).pending += 1;
   if (resil_active()) {
     // Lease/ACK protocol (tlb::resil): the assignment is covered by an
     // epoch-stamped lease; the offload must be acknowledged within the
@@ -689,25 +667,23 @@ void ClusterRuntime::assign_to_worker(nanos::TaskId id, WorkerId w) {
                       [this, id] { on_lease_timeout(id); });
     return;
   }
-  const WorkerId home = topology_->home_worker(task.apprank);
-  ctrl_comm_->send(home, w, kTagOffload, 0,
-                   [this, id, w](const vmpi::Message&) {
-                     workers_[static_cast<std::size_t>(w)].pending -= 1;
-                     if (!alive_[static_cast<std::size_t>(w)] ||
-                         retired_[static_cast<std::size_t>(w)]) {
-                       // The helper crashed — or its node was retired by
-                       // elastic scale-in — while the offload message was
-                       // in flight: the task must not land there.
-                       rescue_task(id, w);
-                       return;
-                     }
-                     finish_assignment(id, w);
-                     kick_node(topology_->worker(w).node);
-                   });
-  // Consume the message at the receiver (the logic lives in the delivery
-  // callback above; this keeps the helper's mailbox from accumulating).
-  ctrl_comm_->recv(w, vmpi::kAnySource, vmpi::kAnyTag,
-                   [](const vmpi::Message&) {});
+  send_ctrl(topology_->home_worker(task.apprank), w, kTagOffload,
+            [this, id, w] { land_offload(id, w); });
+}
+
+void ClusterRuntime::land_offload(nanos::TaskId id, WorkerId w) {
+  WorkerState& ws = worker_state(w);
+  ws.pending -= 1;
+  if (!ws.alive || ws.retired) {
+    // The helper crashed — or its node was retired by elastic scale-in —
+    // while the offload message was in flight: the task must not land
+    // there. (Oracle detection only: under Heartbeat detection a corpse
+    // never sees the offload and a retired worker holds no current lease.)
+    rescue_task(id, w);
+    return;
+  }
+  finish_assignment(id, w);
+  kick_node(topology_->worker(w).node);
 }
 
 void ClusterRuntime::finish_assignment(nanos::TaskId id, WorkerId w) {
@@ -715,56 +691,48 @@ void ClusterRuntime::finish_assignment(nanos::TaskId id, WorkerId w) {
   const WorkerInfo& info = topology_->worker(w);
   nanos::DataLocations& loc =
       *appranks_[static_cast<std::size_t>(task.apprank)].locations;
+  std::uint64_t bytes = 0;
+  sim::SimTime cost = 0.0;
   if (fabric_ != nullptr) {
     // Net mode: one flow per source node holding a missing piece of the
     // task's input. The task may not compute before the last flow lands
     // (on_input_arrived); data_ready_at is refined there.
-    const auto sources = loc.missing_by_source(task.accesses, info.node);
-    std::uint64_t bytes = 0;
     PendingData pd;
-    for (const auto& [src, b] : sources) {
+    for (const auto& [src, b] :
+         loc.missing_by_source(task.accesses, info.node)) {
       bytes += b;
       pd.flows.push_back(fabric_->start_flow(
           src, info.node, b, [this, id] { on_input_arrived(id); }));
     }
-    task.transfer_bytes = bytes;
-    task.data_ready_at = engine_.now();
     if (bytes > 0) {
-      m_.transfer_bytes->inc(bytes);
-      sink().transfer_begin(id, bytes, info.node, engine_.now());
       pd.remaining = static_cast<int>(pd.flows.size());
       pd.worker = w;
       pd.started = engine_.now();
-      prof::alloc_note(
-          prof::AllocTag::CorePending,
-          sizeof(PendingData) + pd.flows.capacity() * sizeof(net::FlowId));
+      prof::alloc_note(prof::AllocTag::CorePending, pd.bytes());
       pending_data_[id] = std::move(pd);
     }
-    workers_[static_cast<std::size_t>(w)].queue.push_back(id);
-    return;
+  } else {
+    bytes = loc.missing_input_bytes(task.accesses, info.node);
+    if (bytes > 0) cost = faulted_transfer_time(bytes);
   }
-  const std::uint64_t bytes =
-      loc.missing_input_bytes(task.accesses, info.node);
   task.transfer_bytes = bytes;
-  sim::SimTime cost = 0.0;
+  task.data_ready_at = engine_.now() + cost;
   if (bytes > 0) {
-    cost = faulted_transfer_time(bytes);
     m_.transfer_bytes->inc(bytes);
+    sink().transfer_begin(id, bytes, info.node, engine_.now());
     // The analytic model resolves the transfer window up front; record
     // both edges now (the end timestamp lies in the future, which the
     // span record represents exactly).
-    sink().transfer_begin(id, bytes, info.node, engine_.now());
-    sink().transfer_end(id, engine_.now() + cost);
+    if (fabric_ == nullptr) sink().transfer_end(id, engine_.now() + cost);
   }
-  task.data_ready_at = engine_.now() + cost;
-  workers_[static_cast<std::size_t>(w)].queue.push_back(id);
+  worker_state(w).queue.push_back(id);
 }
 
 void ClusterRuntime::dispatch(WorkerId w) {
   if (!usable(w)) return;
   const WorkerInfo& info = topology_->worker(w);
-  dlb::NodeCores& nc = *node_cores_[static_cast<std::size_t>(info.node)];
-  WorkerState& ws = workers_[static_cast<std::size_t>(w)];
+  dlb::NodeCores& nc = node_state(info.node).cores;
+  WorkerState& ws = worker_state(w);
   ApprankState& st = appranks_[static_cast<std::size_t>(info.apprank)];
 
   while (true) {
@@ -802,7 +770,7 @@ void ClusterRuntime::start_task(nanos::TaskId id, WorkerId w, int core) {
   // readiness and claiming a core (the "waittime" offload-throttle signal).
   scheduler_->on_task_started(task, w, engine_.now() - task.ready_at);
 
-  dlb::NodeCores& nc = *node_cores_[static_cast<std::size_t>(info.node)];
+  dlb::NodeCores& nc = node_state(info.node).cores;
   nc.task_started(core);
 
   sim::SimTime transfer_wait =
@@ -825,6 +793,8 @@ void ClusterRuntime::start_task(nanos::TaskId id, WorkerId w, int core) {
     }
   }
   const std::uint64_t exec_id = next_exec_++;
+  prof::alloc_note(prof::AllocTag::CoreExec, sizeof(RunningExec));
+  running_.emplace(exec_id, run);
 
   auto pd = pending_data_.find(id);
   if (pd != pending_data_.end() && pd->second.remaining > 0) {
@@ -836,13 +806,8 @@ void ClusterRuntime::start_task(nanos::TaskId id, WorkerId w, int core) {
     pd->second.exec = exec_id;
     pd->second.exec_waiting = true;
     pd->second.overhead = transfer_wait;
-    prof::alloc_note(prof::AllocTag::CoreExec, sizeof(RunningExec));
-    running_.emplace(exec_id, run);
     return;
   }
-
-  prof::alloc_note(prof::AllocTag::CoreExec, sizeof(RunningExec));
-  running_.emplace(exec_id, run);
   begin_compute(exec_id, transfer_wait);
 }
 
@@ -850,40 +815,33 @@ void ClusterRuntime::begin_compute(std::uint64_t exec_id, sim::SimTime wait) {
   auto it = running_.find(exec_id);
   assert(it != running_.end());
   RunningExec& run = it->second;
-  const WorkerId w = run.worker;
-  const int node = run.node;
-  const int apprank = topology_->worker(w).apprank;
-  const double speed = node_speed_[static_cast<std::size_t>(node)];
-  const sim::SimTime compute = pool_.get(run.task).work / speed;
+  const sim::SimTime compute =
+      pool_.get(run.task).work / node_state(run.node).speed;
 
   // Busy accounting covers the compute phase only: a core waiting for data
   // is occupied but not busy (the paper's borrowed-core under-utilisation).
   if (wait > 0.0) {
-    run.busy_event =
-        engine_.after(wait, [this, exec_id, w, node, apprank] {
-          talp_->on_busy_delta(w, +1);
-          recorder_->busy_delta(engine_.now(), node, apprank, +1);
-          auto it2 = running_.find(exec_id);
-          assert(it2 != running_.end());
-          it2->second.busy_applied = true;
-          // A ghost's lease moved on and the task already has a newer
-          // attempt; recording into it would corrupt that attempt.
-          if (!it2->second.ghost) {
-            sink().exec_begin(it2->second.task, w, node, it2->second.core,
-                              engine_.now());
-          }
-        });
+    run.busy_event = engine_.after(wait, [this, exec_id] {
+      auto it2 = running_.find(exec_id);
+      assert(it2 != running_.end());
+      start_busy(it2->second);
+    });
   } else {
-    talp_->on_busy_delta(w, +1);
-    recorder_->busy_delta(engine_.now(), node, apprank, +1);
-    run.busy_applied = true;
-    if (!run.ghost) {
-      sink().exec_begin(run.task, w, node, run.core, engine_.now());
-    }
+    start_busy(run);
   }
   run.finish_event = engine_.after(wait + compute, [this, exec_id] {
     on_task_finished(exec_id);
   });
+}
+
+void ClusterRuntime::start_busy(RunningExec& run) {
+  busy_delta(run.worker, run.node, topology_->worker(run.worker).apprank, +1);
+  run.busy_applied = true;
+  // A ghost's lease moved on and the task already has a newer attempt;
+  // recording into it would corrupt that attempt.
+  if (!run.ghost) {
+    sink().exec_begin(run.task, run.worker, run.node, run.core, engine_.now());
+  }
 }
 
 void ClusterRuntime::on_input_arrived(nanos::TaskId id) {
@@ -900,10 +858,7 @@ void ClusterRuntime::on_input_arrived(nanos::TaskId id) {
   // Feedback to the scheduling policy: observed flow-completion time of
   // this task's input transfers (the "congestion" per-helper FCT signal).
   scheduler_->on_inputs_landed(pd.worker, engine_.now() - pd.started);
-  prof::free_note(
-      prof::AllocTag::CorePending,
-      sizeof(PendingData) + pd.flows.capacity() * sizeof(net::FlowId));
-  pending_data_.erase(it);
+  erase_pending(it);
   if (waiting) begin_compute(exec, overhead);
 }
 
@@ -912,79 +867,87 @@ void ClusterRuntime::cancel_input_flows(nanos::TaskId id) {
   auto it = pending_data_.find(id);
   if (it == pending_data_.end()) return;
   for (const net::FlowId f : it->second.flows) fabric_->cancel(f);
-  prof::free_note(prof::AllocTag::CorePending,
-                  sizeof(PendingData) +
-                      it->second.flows.capacity() * sizeof(net::FlowId));
+  erase_pending(it);
+}
+
+void ClusterRuntime::erase_pending(
+    std::map<nanos::TaskId, PendingData>::iterator it) {
+  prof::free_note(prof::AllocTag::CorePending, it->second.bytes());
   pending_data_.erase(it);
+}
+
+bool ClusterRuntime::unpark(nanos::TaskId id, std::uint64_t exec_id) {
+  auto pd = pending_data_.find(id);
+  if (pd == pending_data_.end() || !pd->second.exec_waiting ||
+      pd->second.exec != exec_id) {
+    return false;
+  }
+  pd->second.exec_waiting = false;
+  return true;
+}
+
+std::map<std::uint64_t, ClusterRuntime::RunningExec>::iterator
+ClusterRuntime::erase_exec(std::map<std::uint64_t, RunningExec>::iterator it) {
+  prof::free_note(prof::AllocTag::CoreExec, sizeof(RunningExec));
+  return running_.erase(it);
+}
+
+void ClusterRuntime::busy_delta(WorkerId w, int node, int apprank, int delta) {
+  talp_->on_busy_delta(w, delta);
+  recorder_->busy_delta(engine_.now(), node, apprank, delta);
 }
 
 void ClusterRuntime::on_task_finished(std::uint64_t exec_id) {
   auto itr = running_.find(exec_id);
   assert(itr != running_.end());
   const RunningExec run = itr->second;
-  prof::free_note(prof::AllocTag::CoreExec, sizeof(RunningExec));
-  running_.erase(itr);
+  erase_exec(itr);
   const WorkerId w = run.worker;
   const int node = run.node;
-  const WorkerInfo& info = topology_->worker(w);
   nanos::Task& task = pool_.get(run.task);
+  const int apprank = task.apprank;
 
-  talp_->on_busy_delta(w, -1);
-  recorder_->busy_delta(engine_.now(), node, info.apprank, -1);
-  node_cores_[static_cast<std::size_t>(node)]->task_finished(run.core);
+  busy_delta(w, node, apprank, -1);
+  node_state(node).cores.task_finished(run.core);
 
   if (run.ghost) {
     // Disowned execution (its lease was revoked after a suspicion): it
     // frees its core and reports a completion that names a stale epoch —
     // the home runtime suppresses it. No scheduler state moves here; the
     // task itself was already re-queued elsewhere.
-    m_.control_messages->inc();
-    const WorkerId home_w = topology_->home_worker(info.apprank);
-    ctrl_comm_->send(w, home_w, kTagComplete, 0,
-                     [this, id = run.task, w, epoch = run.epoch](
-                         const vmpi::Message&) { on_completion(id, w, epoch); });
-    ctrl_comm_->recv(home_w, vmpi::kAnySource, vmpi::kAnyTag,
-                     [](const vmpi::Message&) {});
+    send_completion(run.task, w, run.epoch);
     kick_node(node);
     return;
   }
 
   task.finish_at = engine_.now();
   sink().exec_end(run.task, engine_.now());
-  workers_[static_cast<std::size_t>(w)].inflight -= 1;
+  worker_state(w).inflight -= 1;
 
-  const int apprank = task.apprank;
   const int home = topology_->home_node(apprank);
-  recorder_->task_executed(apprank, node, home, task.work);
+  result_.tasks_total += 1;
+  result_.work_total += task.work;
+  if (node != home) {
+    result_.tasks_offloaded += 1;
+    result_.work_offloaded += task.work;
+  }
   appranks_[static_cast<std::size_t>(apprank)].locations->task_executed(
       task.accesses, node);
 
   // Dependency release and taskwait accounting happen on the apprank's
   // home runtime instance; a remote completion needs a control message.
-  if (node != home) {
-    m_.control_messages->inc();
-    const WorkerId home_w = topology_->home_worker(apprank);
-    if (resil_active()) {
-      // The completion names its lease epoch so the home runtime can tell
-      // a current execution from a zombie's (exactly-once accounting).
-      resil::LeaseRecord* lease = leases_.find(run.task);
-      if (lease != nullptr && lease->worker == w &&
-          lease->epoch == run.epoch) {
-        lease->completion_in_flight = true;
-      }
-      ctrl_comm_->send(w, home_w, kTagComplete, 0,
-                       [this, id = run.task, w, epoch = run.epoch](
-                           const vmpi::Message&) {
-                         on_completion(id, w, epoch);
-                       });
-    } else {
-      ctrl_comm_->send(w, home_w, kTagComplete, 0,
-                       [this, id = run.task](const vmpi::Message&) {
-                         complete_task(id);
-                       });
+  if (node != home && resil_active()) {
+    // The completion names its lease epoch so the home runtime can tell
+    // a current execution from a zombie's (exactly-once accounting).
+    resil::LeaseRecord* lease = leases_.find(run.task);
+    if (lease != nullptr && lease->worker == w && lease->epoch == run.epoch) {
+      lease->completion_in_flight = true;
     }
-    ctrl_comm_->recv(home_w, vmpi::kAnySource, vmpi::kAnyTag,
-                     [](const vmpi::Message&) {});
+    send_completion(run.task, w, run.epoch);
+  } else if (node != home) {
+    m_.control_messages->inc();
+    send_ctrl(w, topology_->home_worker(apprank), kTagComplete,
+              [this, id = run.task] { complete_task(id); });
   } else {
     complete_task(run.task);
   }
@@ -1018,15 +981,15 @@ void ClusterRuntime::complete_task(nanos::TaskId id) {
 
 void ClusterRuntime::kick_node(int node) {
   PROF_SCOPE("core.kick_node");
-  dlb::NodeCores& nc = *node_cores_[static_cast<std::size_t>(node)];
-  dlb::LewiModule& lw = *lewi_[static_cast<std::size_t>(node)];
+  dlb::NodeCores& nc = node_state(node).cores;
+  dlb::LewiModule& lw = node_state(node).lewi;
   const auto& residents = topology_->workers_on_node(node);
 
   // Crashed and quarantined workers take no new work: their backlog reads
   // as zero, so they reclaim and borrow nothing and lend what they hold.
   auto backlog_of = [this](WorkerId w) -> int {
     if (!usable(w)) return 0;
-    const WorkerState& ws = workers_[static_cast<std::size_t>(w)];
+    const WorkerState& ws = worker_state(w);
     const ApprankState& st =
         appranks_[static_cast<std::size_t>(topology_->worker(w).apprank)];
     return static_cast<int>(ws.queue.size() + st.central.size()) + ws.pending;
@@ -1035,9 +998,7 @@ void ClusterRuntime::kick_node(int node) {
   // Only the crash itself removes a worker from DLB's node-local view
   // (shared memory dies with the process); quarantine is a scheduler-side
   // verdict and must not touch a possibly-alive worker's cores directly.
-  auto is_alive = [this](WorkerId w) {
-    return alive_[static_cast<std::size_t>(w)] != 0;
-  };
+  auto is_alive = [this](WorkerId w) { return worker_state(w).alive; };
 
   // 1. Owners with backlog reclaim their lent-out cores (§5.3).
   if (lw.enabled()) {
@@ -1092,46 +1053,35 @@ void ClusterRuntime::resolve_policy_now() {
 void ClusterRuntime::policy_tick() {
   if (done_) return;
   PROF_SCOPE("core.policy_tick");
-  if (busy_smoothed_.size() <
-      static_cast<std::size_t>(topology_->worker_count())) {
-    // First tick, or the topology gained a worker through a rewire.
-    busy_smoothed_.resize(static_cast<std::size_t>(topology_->worker_count()),
-                          0.0);
-  }
   const double s = config_.busy_smoothing;
-  std::vector<double> busy(static_cast<std::size_t>(topology_->worker_count()));
+  const auto workers = static_cast<std::size_t>(topology_->worker_count());
+  std::vector<double> busy(workers);
+  std::vector<char> usable_mask(workers, 1);
+  bool any_unusable = false;
   for (int w = 0; w < topology_->worker_count(); ++w) {
-    auto& ema = busy_smoothed_[static_cast<std::size_t>(w)];
+    double& ema = worker_state(w).busy_smoothed;
     if (!usable(w)) {
       // Crashed or quarantined worker: no residual demand must leak into
       // the plans.
       ema = 0.0;
+      usable_mask[static_cast<std::size_t>(w)] = 0;
+      any_unusable = true;
     } else {
       ema = s * ema + (1.0 - s) * talp_->window_average(w);
     }
     busy[static_cast<std::size_t>(w)] = ema;
   }
   talp_->reset_window();
+  // The mask is only passed once a worker is dead or quarantined, so a
+  // fault-free run takes exactly the pre-fault code path.
+  const std::vector<char>* mask = any_unusable ? &usable_mask : nullptr;
 
   // Retired nodes contribute zero capacity: the solver's reduced graph has
   // no usable edges there, and a zero-core node rounds to an empty plan.
   std::vector<int> node_core_counts;
   node_core_counts.reserve(config_.cluster.nodes.size());
-  for (std::size_t n = 0; n < config_.cluster.nodes.size(); ++n) {
-    node_core_counts.push_back(node_retired_[n] ? 0
-                                                : config_.cluster.nodes[n].cores);
-  }
-
-  // The mask is only passed once a worker is dead or quarantined, so a
-  // fault-free run takes exactly the pre-fault code path.
-  std::vector<char> usable_mask;
-  const std::vector<char>* mask = nullptr;
-  if (any_worker_unusable()) {
-    usable_mask.resize(static_cast<std::size_t>(topology_->worker_count()));
-    for (int w = 0; w < topology_->worker_count(); ++w) {
-      usable_mask[static_cast<std::size_t>(w)] = usable(w) ? 1 : 0;
-    }
-    mask = &usable_mask;
+  for (const auto& ns : nodes_) {
+    node_core_counts.push_back(ns->retired ? 0 : ns->cores.core_count());
   }
 
   // Solver fallback chain (tlb::resil): global solve -> local convergence
@@ -1198,7 +1148,7 @@ void ClusterRuntime::apply_plan(const OwnershipPlan& plan) {
     }
   }
   for (int n = 0; n < topology_->node_count(); ++n) {
-    drom_[static_cast<std::size_t>(n)]->apply(plan[static_cast<std::size_t>(n)]);
+    node_state(n).drom.apply(plan[static_cast<std::size_t>(n)]);
   }
   record_ownership();
   for (int n = 0; n < topology_->node_count(); ++n) kick_node(n);
@@ -1206,7 +1156,7 @@ void ClusterRuntime::apply_plan(const OwnershipPlan& plan) {
 
 void ClusterRuntime::record_ownership() {
   for (int n = 0; n < topology_->node_count(); ++n) {
-    const dlb::NodeCores& nc = *node_cores_[static_cast<std::size_t>(n)];
+    const dlb::NodeCores& nc = node_state(n).cores;
     for (WorkerId w : topology_->workers_on_node(n)) {
       recorder_->set_owned(engine_.now(), n, topology_->worker(w).apprank,
                            nc.owned_count(w));
@@ -1216,17 +1166,10 @@ void ClusterRuntime::record_ownership() {
 
 // --- perturbation / resilience (tlb::fault) -----------------------------------
 
-bool ClusterRuntime::any_worker_unusable() const {
-  for (std::size_t w = 0; w < alive_.size(); ++w) {
-    if (!alive_[w] || suspected_[w] || retired_[w]) return true;
-  }
-  return false;
-}
-
 void ClusterRuntime::set_node_speed(int node, double speed) {
   assert(node >= 0 && node < topology_->node_count());
   assert(speed > 0.0);
-  node_speed_[static_cast<std::size_t>(node)] = speed;
+  node_state(node).speed = speed;
 }
 
 void ClusterRuntime::set_link_fault(const vmpi::LinkFault& fault) {
@@ -1267,7 +1210,7 @@ void ClusterRuntime::rescue_task(nanos::TaskId id, WorkerId from,
   // are torn down (their bandwidth returns to the surviving flows); the
   // re-assignment below starts fresh ones.
   cancel_input_flows(id);
-  if (charge_worker) workers_[static_cast<std::size_t>(from)].inflight -= 1;
+  if (charge_worker) worker_state(from).inflight -= 1;
   task.state = nanos::TaskState::Ready;
   task.scheduled_node = -1;
   task.data_ready_at = 0.0;
@@ -1282,13 +1225,14 @@ void ClusterRuntime::crash_worker(WorkerId w) {
   const WorkerInfo& info = topology_->worker(w);
   assert(!info.is_home &&
          "only helper ranks may crash; the apprank process is the app");
-  if (!alive_[static_cast<std::size_t>(w)] || done_) return;
-  alive_[static_cast<std::size_t>(w)] = 0;
-  crashed_at_[static_cast<std::size_t>(w)] = engine_.now();
+  WorkerState& ws = worker_state(w);
+  if (!ws.alive || done_) return;
+  ws.alive = false;
+  ws.crashed_at = engine_.now();
   m_.workers_crashed->inc();
 
   const int node = info.node;
-  dlb::NodeCores& nc = *node_cores_[static_cast<std::size_t>(node)];
+  dlb::NodeCores& nc = node_state(node).cores;
 
   // 1. Abort the tasks executing on the crashed worker: cancel their
   // completion events, undo busy accounting, free their cores. The ordered
@@ -1303,28 +1247,20 @@ void ClusterRuntime::crash_worker(WorkerId w) {
     RunningExec& run = it->second;
     engine_.cancel(run.finish_event);
     if (run.busy_applied) {
-      talp_->on_busy_delta(w, -1);
-      recorder_->busy_delta(engine_.now(), node, info.apprank, -1);
+      busy_delta(w, node, info.apprank, -1);
     } else {
       engine_.cancel(run.busy_event);
     }
     nc.task_finished(run.core);
-    // Net mode: unhook a parked execution from its pending-data entry so
-    // a late flow completion does not resume a dead exec id. (The flows
-    // themselves are cancelled when the task is rescued; under Heartbeat
-    // detection that happens at lease expiry.)
-    auto pd = pending_data_.find(run.task);
-    if (pd != pending_data_.end() && pd->second.exec_waiting &&
-        pd->second.exec == it->first) {
-      pd->second.exec_waiting = false;
-    }
+    // Net mode: a parked execution must not be resumed by a late flow
+    // completion. (The flows themselves are cancelled when the task is
+    // rescued; under Heartbeat detection that happens at lease expiry.)
+    unpark(run.task, it->first);
     if (!run.ghost) lost.push_back(run.task);
-    prof::free_note(prof::AllocTag::CoreExec, sizeof(RunningExec));
-    it = running_.erase(it);
+    it = erase_exec(it);
   }
 
   // 2. Tasks assigned but not yet started die with the worker's queue.
-  WorkerState& ws = workers_[static_cast<std::size_t>(w)];
   if (!resil_active()) {
     for (nanos::TaskId id : ws.queue) lost.push_back(id);
   }
@@ -1337,7 +1273,7 @@ void ClusterRuntime::crash_worker(WorkerId w) {
   // independent of any cluster-wide detection.
   std::vector<WorkerId> survivors;
   for (WorkerId r : topology_->workers_on_node(node)) {
-    if (alive_[static_cast<std::size_t>(r)]) survivors.push_back(r);
+    if (worker_state(r).alive) survivors.push_back(r);
   }
   // Nodes with a home apprank always keep it (homes cannot crash); a
   // helper-only node grown by elastic scale-out can lose its last worker,
@@ -1400,22 +1336,16 @@ void ClusterRuntime::start_heartbeats() {
 void ClusterRuntime::send_heartbeat(WorkerId w) {
   // Crashed workers fell silent; retired workers shut down cleanly (and
   // detector_sweep skips them, so the silence never reads as a failure).
-  if (done_ || !alive_[static_cast<std::size_t>(w)] ||
-      retired_[static_cast<std::size_t>(w)]) {
-    return;
-  }
+  if (done_ || !worker_state(w).alive || worker_state(w).retired) return;
   m_.heartbeat_messages->inc();
-  const WorkerId home = topology_->home_worker(topology_->worker(w).apprank);
-  ctrl_comm_->send(w, home, kTagHeartbeat, 0,
-                   [this, w](const vmpi::Message&) { on_heartbeat(w); });
-  ctrl_comm_->recv(home, vmpi::kAnySource, vmpi::kAnyTag,
-                   [](const vmpi::Message&) {});
+  send_ctrl(w, topology_->home_worker(topology_->worker(w).apprank),
+            kTagHeartbeat, [this, w] { on_heartbeat(w); });
   engine_.after(resil::kHeartbeatPeriod, [this, w] { send_heartbeat(w); });
 }
 
 void ClusterRuntime::on_heartbeat(WorkerId w) {
   if (done_) return;
-  last_heartbeat_[static_cast<std::size_t>(w)] = engine_.now();
+  worker_state(w).last_heartbeat = engine_.now();
   detectors_[static_cast<std::size_t>(w)].heartbeat(engine_.now());
 }
 
@@ -1424,11 +1354,8 @@ void ClusterRuntime::detector_sweep() {
   PROF_SCOPE("resil.sweep");
   const sim::SimTime now = engine_.now();
   for (int w = 0; w < topology_->worker_count(); ++w) {
-    if (topology_->worker(w).is_home ||
-        suspected_[static_cast<std::size_t>(w)] ||
-        retired_[static_cast<std::size_t>(w)]) {
-      continue;
-    }
+    const WorkerState& ws = worker_state(w);
+    if (topology_->worker(w).is_home || ws.suspected || ws.retired) continue;
     const resil::PhiAccrualDetector& det =
         detectors_[static_cast<std::size_t>(w)];
     if (det.started()) {
@@ -1437,8 +1364,7 @@ void ClusterRuntime::detector_sweep() {
       // Bootstrap: no inter-arrival distribution yet (the worker died —
       // or its link degraded — before two heartbeats arrived). Judge the
       // silence against the heartbeat period instead.
-      const sim::SimTime since =
-          now - std::max(0.0, last_heartbeat_[static_cast<std::size_t>(w)]);
+      const sim::SimTime since = now - std::max(0.0, ws.last_heartbeat);
       if (since > resil::kPhiThreshold * resil::kHeartbeatPeriod) {
         suspect_worker(w);
       }
@@ -1449,19 +1375,21 @@ void ClusterRuntime::detector_sweep() {
 
 void ClusterRuntime::send_offload(nanos::TaskId id, WorkerId w,
                                   std::uint64_t epoch) {
-  const WorkerId home = topology_->home_worker(pool_.get(id).apprank);
-  ctrl_comm_->send(home, w, kTagOffload, 0,
-                   [this, id, w, epoch](const vmpi::Message&) {
-                     on_offload_delivered(id, w, epoch);
-                   });
-  ctrl_comm_->recv(w, vmpi::kAnySource, vmpi::kAnyTag,
-                   [](const vmpi::Message&) {});
+  send_ctrl(topology_->home_worker(pool_.get(id).apprank), w, kTagOffload,
+            [this, id, w, epoch] { on_offload_delivered(id, w, epoch); });
+}
+
+void ClusterRuntime::send_completion(nanos::TaskId id, WorkerId w,
+                                     std::uint64_t epoch) {
+  m_.control_messages->inc();
+  send_ctrl(w, topology_->home_worker(pool_.get(id).apprank), kTagComplete,
+            [this, id, w, epoch] { on_completion(id, w, epoch); });
 }
 
 void ClusterRuntime::on_offload_delivered(nanos::TaskId id, WorkerId w,
                                           std::uint64_t epoch) {
   if (done_) return;
-  if (!alive_[static_cast<std::size_t>(w)]) return;  // delivered into a corpse
+  if (!worker_state(w).alive) return;  // delivered into a corpse
   resil::LeaseRecord* lease = leases_.find(id);
   const bool current =
       lease != nullptr && lease->worker == w && lease->epoch == epoch;
@@ -1471,19 +1399,9 @@ void ClusterRuntime::on_offload_delivered(nanos::TaskId id, WorkerId w,
     // that. It executes the task as a zombie; the completion it eventually
     // reports names the stale epoch and is suppressed. Modelled off-book —
     // the zombie burns time, not scheduler state.
-    const nanos::Task& task = pool_.get(id);
-    const double speed =
-        node_speed_[static_cast<std::size_t>(topology_->worker(w).node)];
-    engine_.after(task.work / speed, [this, id, w, epoch] {
-      if (done_ || !alive_[static_cast<std::size_t>(w)]) return;
-      m_.control_messages->inc();
-      const WorkerId home_w = topology_->home_worker(pool_.get(id).apprank);
-      ctrl_comm_->send(w, home_w, kTagComplete, 0,
-                       [this, id, w, epoch](const vmpi::Message&) {
-                         on_completion(id, w, epoch);
-                       });
-      ctrl_comm_->recv(home_w, vmpi::kAnySource, vmpi::kAnyTag,
-                       [](const vmpi::Message&) {});
+    const double speed = node_state(topology_->worker(w).node).speed;
+    engine_.after(pool_.get(id).work / speed, [this, id, w, epoch] {
+      if (!done_ && worker_state(w).alive) send_completion(id, w, epoch);
     });
     return;
   }
@@ -1493,22 +1411,15 @@ void ClusterRuntime::on_offload_delivered(nanos::TaskId id, WorkerId w,
     return;
   }
   lease->helper_received = true;
-  workers_[static_cast<std::size_t>(w)].pending -= 1;
   send_ack(id, w, epoch);
-  finish_assignment(id, w);
-  kick_node(topology_->worker(w).node);
+  land_offload(id, w);
 }
 
 void ClusterRuntime::send_ack(nanos::TaskId id, WorkerId w,
                               std::uint64_t epoch) {
   m_.control_messages->inc();
-  const WorkerId home = topology_->home_worker(pool_.get(id).apprank);
-  ctrl_comm_->send(w, home, kTagAck, 0,
-                   [this, id, w, epoch](const vmpi::Message&) {
-                     on_ack(id, w, epoch);
-                   });
-  ctrl_comm_->recv(home, vmpi::kAnySource, vmpi::kAnyTag,
-                   [](const vmpi::Message&) {});
+  send_ctrl(w, topology_->home_worker(pool_.get(id).apprank), kTagAck,
+            [this, id, w, epoch] { on_ack(id, w, epoch); });
 }
 
 void ClusterRuntime::on_ack(nanos::TaskId id, WorkerId w,
@@ -1544,10 +1455,9 @@ void ClusterRuntime::on_lease_timeout(nanos::TaskId id) {
   // worker moves towards quarantine.
   m_.lease_expiries->inc();
   lease->timer = sim::kInvalidEvent;
-  if (quarantine_->record_expiry(w) &&
-      !suspected_[static_cast<std::size_t>(w)]) {
+  if (quarantine_->record_expiry(w) && !worker_state(w).suspected) {
     suspect_worker(w);  // re-queues every lease on w, including this one
-  } else if (!suspected_[static_cast<std::size_t>(w)]) {
+  } else if (!worker_state(w).suspected) {
     requeue_leased_task(id);
     kick_node(topology_->worker(w).node);
   }
@@ -1578,10 +1488,10 @@ void ClusterRuntime::requeue_leased_task(nanos::TaskId id) {
   engine_.cancel(lease->timer);
   if (!lease->helper_received) {
     // The offload never arrived; retire the pre-claimed slot.
-    workers_[static_cast<std::size_t>(w)].pending -= 1;
+    worker_state(w).pending -= 1;
   }
   // Drop the task from the helper's queue if it had not started there.
-  auto& q = workers_[static_cast<std::size_t>(w)].queue;
+  auto& q = worker_state(w).queue;
   q.erase(std::remove(q.begin(), q.end(), id), q.end());
   // Disown a live execution into a ghost: it keeps burning its core until
   // it finishes, but its completion will name a stale epoch. An execution
@@ -1595,13 +1505,9 @@ void ClusterRuntime::requeue_leased_task(nanos::TaskId id) {
       ++rit;
       continue;
     }
-    auto pd = pending_data_.find(id);
-    if (pd != pending_data_.end() && pd->second.exec_waiting &&
-        pd->second.exec == rit->first) {
-      pd->second.exec_waiting = false;
-      node_cores_[static_cast<std::size_t>(run.node)]->task_finished(run.core);
-      prof::free_note(prof::AllocTag::CoreExec, sizeof(RunningExec));
-      rit = running_.erase(rit);
+    if (unpark(id, rit->first)) {
+      node_state(run.node).cores.task_finished(run.core);
+      rit = erase_exec(rit);
       continue;
     }
     run.ghost = true;
@@ -1616,16 +1522,16 @@ void ClusterRuntime::requeue_leased_task(nanos::TaskId id) {
 }
 
 void ClusterRuntime::suspect_worker(WorkerId w) {
-  if (done_ || suspected_[static_cast<std::size_t>(w)]) return;
+  WorkerState& ws = worker_state(w);
+  if (done_ || ws.suspected) return;
   const WorkerInfo& info = topology_->worker(w);
   assert(!info.is_home && "home workers are never suspected");
-  suspected_[static_cast<std::size_t>(w)] = 1;
+  ws.suspected = true;
 
   // Detection verdict: real failure or false suspicion?
-  if (!alive_[static_cast<std::size_t>(w)]) {
+  if (!ws.alive) {
     m_.detections->inc();
-    const double latency =
-        engine_.now() - crashed_at_[static_cast<std::size_t>(w)];
+    const double latency = engine_.now() - ws.crashed_at;
     m_.detection_latency_sum->add(latency);
     if (recovery_series_ != nullptr) {
       recovery_series_->record_detection(engine_.now(), w, true, latency);
@@ -1660,13 +1566,12 @@ void ClusterRuntime::suspect_worker(WorkerId w) {
 }
 
 void ClusterRuntime::probe_worker(WorkerId w) {
-  if (done_ || !suspected_[static_cast<std::size_t>(w)]) return;
+  WorkerState& ws = worker_state(w);
+  if (done_ || !ws.suspected) return;
   // The probe is a liveness check: has the worker produced a heartbeat
   // since it was ejected?
-  if (alive_[static_cast<std::size_t>(w)] &&
-      last_heartbeat_[static_cast<std::size_t>(w)] >
-          quarantine_->ejected_at(w)) {
-    suspected_[static_cast<std::size_t>(w)] = 0;
+  if (ws.alive && ws.last_heartbeat > quarantine_->ejected_at(w)) {
+    ws.suspected = false;
     quarantine_->readmit(w);
     // Forget pre-ejection inter-arrival history (it includes the silence
     // that caused the ejection and would poison the fresh estimate).
@@ -1689,18 +1594,18 @@ WorkerId ClusterRuntime::add_helper(int apprank, int node) {
   assert(rank == w && "control-plane ranks mirror worker ids");
   talp_->add_worker();
   workers_.emplace_back();
-  alive_.push_back(1);
-  retired_.push_back(0);
-  suspected_.push_back(0);
-  last_heartbeat_.push_back(-1.0);
-  crashed_at_.push_back(-1.0);
-  if (!busy_smoothed_.empty()) busy_smoothed_.push_back(0.0);
   if (resil_active()) {
     detectors_.emplace_back(resil::kPhiWindow, resil::kPhiMinStd);
     quarantine_->add_worker();
     engine_.after(resil::kHeartbeatPeriod, [this, w] { send_heartbeat(w); });
   }
   return w;
+}
+
+void ClusterRuntime::add_node_state(int cores, WorkerId first_owner,
+                                    double speed) {
+  nodes_.push_back(std::make_unique<NodeState>(
+      cores, first_owner, config_.lewi, config_.drom_active(), speed));
 }
 
 void ClusterRuntime::maybe_rewire(int apprank) {
@@ -1716,9 +1621,9 @@ void ClusterRuntime::maybe_rewire(int apprank) {
   for (int n = 0; n < topology_->node_count(); ++n) {
     // Retired nodes must not receive replacement helpers.
     spare[static_cast<std::size_t>(n)] =
-        node_retired_[static_cast<std::size_t>(n)]
+        node_state(n).retired
             ? 0
-            : config_.cluster.nodes[static_cast<std::size_t>(n)].cores -
+            : node_state(n).cores.core_count() -
                   static_cast<int>(topology_->workers_on_node(n).size());
   }
   const int node = graph::pick_replacement_node(expander_.graph, apprank, spare);
@@ -1759,8 +1664,6 @@ int ClusterRuntime::grow_node(const sim::NodeSpec& spec) {
   assert(node == tnode && "graph and topology node ids must stay aligned");
   (void)tnode;
   config_.cluster.nodes.push_back(spec);
-  node_speed_.push_back(spec.speed);
-  node_retired_.push_back(0);
   recorder_->add_node();
 
   // Helper placement: one per apprank, capped by the core count; appranks
@@ -1782,12 +1685,7 @@ int ClusterRuntime::grow_node(const sim::NodeSpec& spec) {
   // DLB modules for the node. All cores start owned by the first helper;
   // the immediate policy re-solve below redistributes them (exactly like
   // the initial split would have, had the node existed at start()).
-  node_cores_.push_back(
-      std::make_unique<dlb::NodeCores>(spec.cores, added.front()));
-  lewi_.push_back(
-      std::make_unique<dlb::LewiModule>(*node_cores_.back(), config_.lewi));
-  drom_.push_back(std::make_unique<dlb::DromModule>(*node_cores_.back(),
-                                                    config_.drom_active()));
+  add_node_state(spec.cores, added.front(), spec.speed);
   record_ownership();
   grown_nodes_.push_back(node);
 
@@ -1804,7 +1702,7 @@ void ClusterRuntime::retire_node(int node) {
   if (node < 0 || node >= topology_->node_count()) {
     throw std::invalid_argument("retire_node: no such node");
   }
-  if (node_retired_[static_cast<std::size_t>(node)]) return;  // idempotent
+  if (node_state(node).retired) return;  // idempotent
   const auto residents = topology_->workers_on_node(node);
   for (WorkerId w : residents) {
     if (topology_->worker(w).is_home) {
@@ -1813,15 +1711,15 @@ void ClusterRuntime::retire_node(int node) {
           " hosts an apprank process; only helper-only nodes can retire");
     }
   }
-  node_retired_[static_cast<std::size_t>(node)] = 1;
+  node_state(node).retired = true;
 
   // Fence first: usable() is now false for every resident, so no new
   // assignment, LeWI borrow, or pick_worker choice can land here while we
   // drain.
-  for (WorkerId w : residents) retired_[static_cast<std::size_t>(w)] = 1;
+  for (WorkerId w : residents) worker_state(w).retired = true;
 
   for (WorkerId w : residents) {
-    if (!alive_[static_cast<std::size_t>(w)]) continue;  // crashed earlier
+    if (!worker_state(w).alive) continue;  // crashed earlier
     if (resil_active()) {
       // Revoke the leases of tasks that have not started computing here;
       // executions already running keep their lease and complete normally
@@ -1829,24 +1727,19 @@ void ClusterRuntime::retire_node(int node) {
       // current epoch and count exactly once). A task requeued here and
       // raced by a stale copy is covered by the usual zombie suppression.
       for (const std::uint64_t id : leases_.tasks_on(w)) {
-        bool running = false;
-        for (const auto& [eid, run] : running_) {
-          (void)eid;
-          if (run.task == static_cast<nanos::TaskId>(id) && run.worker == w &&
-              !run.ghost) {
-            running = true;
-            break;
-          }
-        }
+        const bool running = std::any_of(
+            running_.begin(), running_.end(), [id, w](const auto& e) {
+              return e.second.task == static_cast<nanos::TaskId>(id) &&
+                     e.second.worker == w && !e.second.ghost;
+            });
         if (!running) requeue_leased_task(static_cast<nanos::TaskId>(id));
       }
     } else {
       // Oracle mode: queued-but-unstarted assignments are rescued exactly
       // once; in-flight offload messages are rescued by their delivery
       // callback (which now sees the retired flag).
-      WorkerState& ws = workers_[static_cast<std::size_t>(w)];
       std::deque<nanos::TaskId> drained;
-      drained.swap(ws.queue);
+      drained.swap(worker_state(w).queue);
       for (nanos::TaskId id : drained) rescue_task(id, w);
     }
   }
@@ -1858,7 +1751,7 @@ void ClusterRuntime::retire_node(int node) {
   // rescued work.
   resolve_policy_now();
   for (int n = 0; n < topology_->node_count(); ++n) {
-    if (!node_retired_[static_cast<std::size_t>(n)]) kick_node(n);
+    if (!node_state(n).retired) kick_node(n);
   }
 }
 
@@ -1878,7 +1771,7 @@ void ClusterRuntime::elastic_tick() {
   }
   for (int w = 0; w < topology_->worker_count(); ++w) {
     if (!usable(w)) continue;
-    const WorkerState& ws = workers_[static_cast<std::size_t>(w)];
+    const WorkerState& ws = worker_state(w);
     demand += static_cast<double>(ws.queue.size()) + ws.pending;
   }
   for (const auto& [eid, run] : running_) {
@@ -1887,9 +1780,9 @@ void ClusterRuntime::elastic_tick() {
   }
   double capacity = 0.0;
   int active = 0;
-  for (int n = 0; n < topology_->node_count(); ++n) {
-    if (node_retired_[static_cast<std::size_t>(n)]) continue;
-    capacity += config_.cluster.nodes[static_cast<std::size_t>(n)].cores;
+  for (const auto& ns : nodes_) {
+    if (ns->retired) continue;
+    capacity += ns->cores.core_count();
     ++active;
   }
   const double pressure = capacity > 0.0 ? demand / capacity : 0.0;
@@ -1909,28 +1802,22 @@ void ClusterRuntime::elastic_tick() {
     // Retire the most recently grown node that is fully idle (nothing
     // queued, leased, or running on any resident). Original nodes host
     // apprank processes and never retire.
+    auto has_work = [this](WorkerId w) {
+      const WorkerState& ws = worker_state(w);
+      return !ws.queue.empty() || ws.pending > 0 || ws.inflight > 0 ||
+             (resil_active() && !leases_.tasks_on(w).empty());
+    };
+    auto idle = [this, &has_work](int n) {
+      const auto& residents = topology_->workers_on_node(n);
+      return !node_state(n).retired &&
+             std::none_of(residents.begin(), residents.end(), has_work);
+    };
     for (int k = 0; k < config_.elastic.step; ++k) {
       if (active <= elastic_ctrl_->min_nodes()) break;
-      int candidate = -1;
-      for (auto it = grown_nodes_.rbegin(); it != grown_nodes_.rend(); ++it) {
-        const int n = *it;
-        if (node_retired_[static_cast<std::size_t>(n)]) continue;
-        bool idle = true;
-        for (WorkerId w : topology_->workers_on_node(n)) {
-          const WorkerState& ws = workers_[static_cast<std::size_t>(w)];
-          if (!ws.queue.empty() || ws.pending > 0 || ws.inflight > 0 ||
-              (resil_active() && !leases_.tasks_on(w).empty())) {
-            idle = false;
-            break;
-          }
-        }
-        if (idle) {
-          candidate = n;
-          break;
-        }
-      }
-      if (candidate < 0) break;  // nothing idle enough; hold
-      retire_node(candidate);
+      const auto it =
+          std::find_if(grown_nodes_.rbegin(), grown_nodes_.rend(), idle);
+      if (it == grown_nodes_.rend()) break;  // nothing idle enough; hold
+      retire_node(*it);
       --active;
     }
   }

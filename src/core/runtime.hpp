@@ -222,7 +222,7 @@ class ClusterRuntime : private sched::RuntimeView {
   /// starts); tasks starting after the change run at the new speed.
   void set_node_speed(int node, double speed);
   [[nodiscard]] double node_speed(int node) const {
-    return node_speed_.at(static_cast<std::size_t>(node));
+    return nodes_.at(static_cast<std::size_t>(node))->speed;
   }
 
   /// Installs a link perturbation on all traffic: application messages,
@@ -241,7 +241,7 @@ class ClusterRuntime : private sched::RuntimeView {
   /// dead worker is a no-op.
   void crash_worker(WorkerId w);
   [[nodiscard]] bool worker_alive(WorkerId w) const {
-    return alive_.at(static_cast<std::size_t>(w)) != 0;
+    return workers_.at(static_cast<std::size_t>(w)).alive;
   }
 
   /// Offload control messages still in flight towards `w` (diagnostic:
@@ -289,10 +289,10 @@ class ClusterRuntime : private sched::RuntimeView {
   void retire_node(int node);
 
   [[nodiscard]] bool node_retired(int node) const {
-    return node_retired_.at(static_cast<std::size_t>(node)) != 0;
+    return nodes_.at(static_cast<std::size_t>(node))->retired;
   }
   [[nodiscard]] bool worker_retired(WorkerId w) const {
-    return retired_.at(static_cast<std::size_t>(w)) != 0;
+    return workers_.at(static_cast<std::size_t>(w)).retired;
   }
   /// Nodes added by grow_node (in join order), for post-run inspection.
   [[nodiscard]] const std::vector<int>& grown_nodes() const {
@@ -300,6 +300,7 @@ class ClusterRuntime : private sched::RuntimeView {
   }
 
  private:
+  /// Everything the runtime knows about one worker process.
   struct WorkerState {
     std::deque<nanos::TaskId> queue;  ///< assigned, waiting for a core
     int inflight = 0;                 ///< assigned + running tasks
@@ -307,6 +308,32 @@ class ClusterRuntime : private sched::RuntimeView {
     /// flight. Counted as backlog so LeWI does not lend away the cores
     /// these tasks are about to need.
     int pending = 0;
+    bool alive = true;       ///< false once crashed (tlb::fault)
+    bool retired = false;    ///< draining / drained (elastic scale-in)
+    bool suspected = false;  ///< quarantined (tlb::resil)
+    /// Latest heartbeat arrival (-1 = none); unlike the phi detector's
+    /// history it survives readmission.
+    sim::SimTime last_heartbeat = -1.0;
+    sim::SimTime crashed_at = -1.0;  ///< physical crash (-1 = alive)
+    double busy_smoothed = 0.0;      ///< EMA of policy work estimates
+    double window_busy = 0.0;  ///< TALP busy total at the last POP window
+  };
+  /// One node's DLB state. Held behind a stable pointer: the LeWI and
+  /// DROM modules keep a reference to the node's core registry.
+  struct NodeState {
+    NodeState(int core_count, WorkerId first_owner, bool lewi_on, bool drom_on,
+              double node_speed)
+        : cores(core_count, first_owner),
+          lewi(cores, lewi_on),
+          drom(cores, drom_on),
+          speed(node_speed) {}
+    NodeState(const NodeState&) = delete;
+    NodeState& operator=(const NodeState&) = delete;
+    dlb::NodeCores cores;
+    dlb::LewiModule lewi;
+    dlb::DromModule drom;
+    double speed;          ///< current speed factor
+    bool retired = false;  ///< drained by retire_node
   };
   /// Bookkeeping for one execution attempt of a task. Keyed by a monotone
   /// exec id in an ordered map, so crash handling iterates executions in
@@ -340,6 +367,10 @@ class ClusterRuntime : private sched::RuntimeView {
     sim::SimTime overhead = 0.0;  ///< borrowed-core friction, paid on arrival
     WorkerId worker = -1;         ///< assignee (FCT feedback to the scheduler)
     sim::SimTime started = 0.0;   ///< when the input flows were launched
+    /// Bytes charged to tlb::prof's core.pending tag.
+    [[nodiscard]] std::size_t bytes() const {
+      return sizeof(PendingData) + flows.capacity() * sizeof(net::FlowId);
+    }
   };
   struct ApprankState {
     std::unique_ptr<nanos::DependencyGraph> deps;
@@ -372,6 +403,17 @@ class ClusterRuntime : private sched::RuntimeView {
   /// Tears down any in-flight input flows of `id` (crash / re-queue).
   void cancel_input_flows(nanos::TaskId id);
   void on_task_finished(std::uint64_t exec_id);
+  /// An execution starts computing: busy +1 and its span's exec edge.
+  void start_busy(RunningExec& run);
+  /// TALP and trace-timeline busy-core change of one execution.
+  void busy_delta(WorkerId w, int node, int apprank, int delta);
+  /// running_ / pending_data_ erases with their tlb::prof free notes.
+  std::map<std::uint64_t, RunningExec>::iterator erase_exec(
+      std::map<std::uint64_t, RunningExec>::iterator it);
+  void erase_pending(std::map<nanos::TaskId, PendingData>::iterator it);
+  /// Unhooks execution `exec_id` when it is parked on `id`'s pending data,
+  /// so a late flow completion does not resume it; returns whether it was.
+  bool unpark(nanos::TaskId id, std::uint64_t exec_id);
   /// Home-side completion bookkeeping: dependency release, taskwait
   /// accounting, barrier entry.
   void complete_task(nanos::TaskId id);
@@ -389,7 +431,7 @@ class ClusterRuntime : private sched::RuntimeView {
   // above and usable() below).
   [[nodiscard]] int owned_cores(WorkerId w) const override;
   [[nodiscard]] int inflight(WorkerId w) const override {
-    return workers_[static_cast<std::size_t>(w)].inflight;
+    return worker_state(w).inflight;
   }
   [[nodiscard]] int inflight_per_core() const override {
     return config_.inflight_per_core;
@@ -418,17 +460,26 @@ class ClusterRuntime : private sched::RuntimeView {
   /// for pick_worker / LeWI backlog. (Also part of the sched::RuntimeView
   /// window.)
   [[nodiscard]] bool usable(WorkerId w) const override {
-    return alive_[static_cast<std::size_t>(w)] != 0 &&
-           suspected_[static_cast<std::size_t>(w)] == 0 &&
-           retired_[static_cast<std::size_t>(w)] == 0;
+    const WorkerState& ws = worker_state(w);
+    return ws.alive && !ws.suspected && !ws.retired;
   }
-  [[nodiscard]] bool any_worker_unusable() const;
   void start_heartbeats();
   void send_heartbeat(WorkerId w);
   void on_heartbeat(WorkerId w);
   void detector_sweep();
+  /// The one control-plane path: sends `src` -> `dst` and consumes the
+  /// message at the receiver; `on_delivered()` runs at arrival.
+  template <class F>
+  void send_ctrl(WorkerId src, WorkerId dst, int tag, F on_delivered);
+  /// Remote completion of `id` on `w` under lease epoch `epoch`, reported
+  /// to the apprank's home runtime (counted as a control message).
+  void send_completion(nanos::TaskId id, WorkerId w, std::uint64_t epoch);
   void send_offload(nanos::TaskId id, WorkerId w, std::uint64_t epoch);
   void on_offload_delivered(nanos::TaskId id, WorkerId w, std::uint64_t epoch);
+  /// An offload reached its helper: retire the pre-claimed slot, then
+  /// queue the task there (or rescue it when the helper died or retired
+  /// while the message was in flight).
+  void land_offload(nanos::TaskId id, WorkerId w);
   void send_ack(nanos::TaskId id, WorkerId w, std::uint64_t epoch);
   void on_ack(nanos::TaskId id, WorkerId w, std::uint64_t epoch);
   void on_lease_timeout(nanos::TaskId id);
@@ -446,10 +497,21 @@ class ClusterRuntime : private sched::RuntimeView {
   /// left (expander rewire across graph / topology / vmpi / DLB layers).
   void maybe_rewire(int apprank);
   /// Threads a new helper of `apprank` on `node` through every layer:
-  /// graph edge, topology slot, control-plane rank, TALP, per-worker
-  /// vectors, detector, quarantine and the first heartbeat. Shared by
+  /// graph edge, topology slot, control-plane rank, TALP, worker record,
+  /// detector, quarantine and the first heartbeat. Shared by
   /// maybe_rewire and grow_node; returns the new worker id.
   WorkerId add_helper(int apprank, int node);
+  /// Appends the DLB record of the next node (constructor and grow_node).
+  void add_node_state(int cores, WorkerId first_owner, double speed);
+  [[nodiscard]] WorkerState& worker_state(WorkerId w) {
+    return workers_[static_cast<std::size_t>(w)];
+  }
+  [[nodiscard]] const WorkerState& worker_state(WorkerId w) const {
+    return workers_[static_cast<std::size_t>(w)];
+  }
+  [[nodiscard]] NodeState& node_state(int node) {
+    return *nodes_[static_cast<std::size_t>(node)];
+  }
 
   // Observability (tlb::obs).
   /// The span sink lifecycle hooks emit into: the span backend when one
@@ -495,9 +557,7 @@ class ClusterRuntime : private sched::RuntimeView {
   /// completion / heartbeat / ack messages travel here (and thus see link
   /// faults).
   std::unique_ptr<vmpi::Communicator> ctrl_comm_;
-  std::vector<std::unique_ptr<dlb::NodeCores>> node_cores_;
-  std::vector<std::unique_ptr<dlb::LewiModule>> lewi_;
-  std::vector<std::unique_ptr<dlb::DromModule>> drom_;
+  std::vector<std::unique_ptr<NodeState>> nodes_;
   std::unique_ptr<dlb::TalpModule> talp_;
   std::unique_ptr<trace::Recorder> recorder_;
   /// Unified metrics registry (always on) and the per-task span backend:
@@ -552,7 +612,6 @@ class ClusterRuntime : private sched::RuntimeView {
   std::vector<WorkerState> workers_;
   Workload* workload_ = nullptr;
   RunResult result_;
-  std::vector<double> busy_smoothed_;  ///< EMA of policy work estimates
   int barrier_arrivals_ = 0;
   sim::SimTime last_barrier_time_ = 0.0;
   bool done_ = false;
@@ -569,16 +628,9 @@ class ClusterRuntime : private sched::RuntimeView {
   // Per-iteration POP windows (config_.obs.pop_windows).
   void capture_pop_window(int epoch);
   std::vector<obs::PopWindowRow> pop_windows_;
-  std::vector<double> window_busy_;  ///< TALP busy snapshot at last barrier
   sim::SimTime window_start_time_ = 0.0;
 
-  // Fault state (tlb::fault).
-  std::vector<double> node_speed_;  ///< current speed factor per node
-  std::vector<char> alive_;         ///< per-worker liveness (1 = alive)
-  // Elastic state (tlb::elastic). retired_ is per worker, node_retired_
-  // per node; both stay all-zero unless retire_node runs.
-  std::vector<char> retired_;       ///< 1 = draining / drained (scale-in)
-  std::vector<char> node_retired_;
+  // Elastic state (tlb::elastic).
   std::vector<int> grown_nodes_;    ///< nodes added by grow_node, join order
   std::unique_ptr<elastic::ElasticController> elastic_ctrl_;
   std::map<std::uint64_t, RunningExec> running_;  ///< keyed by exec id
@@ -591,9 +643,6 @@ class ClusterRuntime : private sched::RuntimeView {
   resil::LeaseTable leases_;
   std::vector<resil::PhiAccrualDetector> detectors_;  ///< per worker
   std::unique_ptr<resil::Quarantine> quarantine_;
-  std::vector<char> suspected_;           ///< 1 = quarantined
-  std::vector<sim::SimTime> last_heartbeat_;  ///< arrival times (-1 = none)
-  std::vector<sim::SimTime> crashed_at_;      ///< physical crash (-1 = alive)
   int policy_level_ = 0;  ///< fallback rung: 0 primary, 1 local, 2 static
   metrics::RecoverySeries* recovery_series_ = nullptr;
 };

@@ -35,17 +35,6 @@ void Recorder::set_owned(sim::SimTime t, int node, int apprank, int count) {
   owned_[idx(node, apprank)].set(t, count);
 }
 
-void Recorder::task_executed(int apprank, int node, int home_node,
-                             double work) {
-  (void)apprank;
-  ++tasks_total_;
-  work_total_ += work;
-  if (node != home_node) {
-    ++tasks_off_;
-    work_off_ += work;
-  }
-}
-
 void Recorder::mark(sim::SimTime t, std::string label) {
   if (!timeline_) return;
   assert(marks_.empty() || t >= marks_.back().first);

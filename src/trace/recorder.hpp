@@ -4,8 +4,9 @@
 //   - busy cores: number of cores executing that apprank's tasks on that
 //     node (the left-hand traces of Fig 9);
 //   - owned cores: DROM ownership (the right-hand traces of Fig 9);
-// plus per-node totals and offload statistics. Renderers below turn the
+// plus per-node totals and timeline marks. Renderers below turn the
 // series into ASCII timelines and CSV for the paper's trace figures.
+// Offload statistics live in core::RunResult.
 #pragma once
 
 #include <cstdint>
@@ -36,12 +37,15 @@ struct TypedMark {
 
 class Recorder {
  public:
-  /// With `timeline` false the recorder keeps only the offload counters:
-  /// busy/owned series and marks are dropped as they arrive.
+  /// With `timeline` false the recorder keeps nothing: busy/owned series
+  /// and marks are dropped as they arrive.
   Recorder(int nodes, int appranks, bool timeline = true);
 
   [[nodiscard]] int nodes() const { return nodes_; }
   [[nodiscard]] int appranks() const { return appranks_; }
+  /// Whether series and marks are kept (callers skip formatting labels
+  /// that would be dropped).
+  [[nodiscard]] bool timeline() const { return timeline_; }
 
   /// Grows the recorder by one node (elastic scale-out). The node-major
   /// series layout makes this append-only: existing (node, apprank)
@@ -50,7 +54,6 @@ class Recorder {
 
   void busy_delta(sim::SimTime t, int node, int apprank, int delta);
   void set_owned(sim::SimTime t, int node, int apprank, int count);
-  void task_executed(int apprank, int node, int home_node, double work);
 
   /// Annotates the timeline with a labelled instant (fault injections,
   /// recoveries, phase changes). Times must be non-decreasing: a violation
@@ -75,16 +78,6 @@ class Recorder {
   /// Total busy cores on a node (all appranks).
   [[nodiscard]] const StepSeries& node_busy(int node) const;
 
-  // Offload statistics (paper Fig 5 discussion: the global policy
-  // minimises task offloading).
-  [[nodiscard]] std::uint64_t tasks_total() const { return tasks_total_; }
-  [[nodiscard]] std::uint64_t tasks_offloaded() const { return tasks_off_; }
-  [[nodiscard]] double work_total() const { return work_total_; }
-  [[nodiscard]] double work_offloaded() const { return work_off_; }
-  [[nodiscard]] double offload_fraction() const {
-    return work_total_ > 0.0 ? work_off_ / work_total_ : 0.0;
-  }
-
  private:
   [[nodiscard]] std::size_t idx(int node, int apprank) const {
     return static_cast<std::size_t>(node) * static_cast<std::size_t>(appranks_) +
@@ -99,10 +92,6 @@ class Recorder {
   std::vector<StepSeries> node_busy_;
   std::vector<std::pair<sim::SimTime, std::string>> marks_;
   std::vector<TypedMark> typed_marks_;
-  std::uint64_t tasks_total_ = 0;
-  std::uint64_t tasks_off_ = 0;
-  double work_total_ = 0.0;
-  double work_off_ = 0.0;
 };
 
 /// One-line sparkline of binned values scaled to [0, peak]; characters

@@ -95,6 +95,35 @@ TEST(Runtime, OffloadingBalancesAcrossNodes) {
   EXPECT_GT(degree4.transfer_bytes, 0u);
 }
 
+// RunResult's offload counters agree with where the tasks actually ran:
+// a task counts as offloaded when its executing worker is not on the
+// apprank's home node.
+TEST(Runtime, OffloadCountsMatchExecutedPlacement) {
+  apps::SyntheticWorkload wl(synth(4, 2.0, 3));
+  ClusterRuntime rt(base_config(4, 4, 1, 3));
+  const auto r = rt.run(wl);
+
+  const nanos::TaskPool& pool = rt.tasks();
+  std::uint64_t offloaded = 0;
+  double work = 0.0;
+  double work_offloaded = 0.0;
+  for (nanos::TaskId id = 0; id < pool.size(); ++id) {
+    const nanos::Task& t = pool.get(id);
+    work += t.work;
+    if (rt.topology().worker(t.executed_worker).node !=
+        rt.topology().home_node(t.apprank)) {
+      ++offloaded;
+      work_offloaded += t.work;
+    }
+  }
+  EXPECT_EQ(r.tasks_total, 4u * 40u * 3u);
+  EXPECT_EQ(r.tasks_total, pool.size());
+  EXPECT_GT(offloaded, 0u);
+  EXPECT_EQ(r.tasks_offloaded, offloaded);
+  // Same sums in another order: equal up to rounding.
+  EXPECT_NEAR(r.offload_fraction(), work_offloaded / work, 1e-12);
+}
+
 TEST(Runtime, BalancedLoadBarelyOffloadsUnderGlobalPolicy) {
   // With balanced load, steady-state offloading is bounded by the
   // helper-core floor (each helper owns 1 of 16 cores) plus LeWI

@@ -85,15 +85,6 @@ TEST(Recorder, BusyAggregatesPerNode) {
   EXPECT_DOUBLE_EQ(rec.node_busy(1).value_at(0.5), 0.0);
 }
 
-TEST(Recorder, OffloadStatistics) {
-  trace::Recorder rec(2, 1);
-  rec.task_executed(0, /*node=*/0, /*home=*/0, 2.0);
-  rec.task_executed(0, /*node=*/1, /*home=*/0, 3.0);
-  EXPECT_EQ(rec.tasks_total(), 2u);
-  EXPECT_EQ(rec.tasks_offloaded(), 1u);
-  EXPECT_DOUBLE_EQ(rec.offload_fraction(), 0.6);
-}
-
 TEST(Recorder, AsciiSparklineShape) {
   const auto line = trace::ascii_sparkline({0.0, 0.5, 1.0}, 1.0);
   ASSERT_EQ(line.size(), 3u);
