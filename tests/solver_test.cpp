@@ -5,11 +5,11 @@
 #include <cmath>
 
 #include "graph/expander.hpp"
+#include "lp_oracle.hpp"
 #include "sim/rng.hpp"
 #include "solver/allocation.hpp"
 #include "solver/maxflow.hpp"
 #include "solver/mincost_flow.hpp"
-#include "solver/simplex.hpp"
 
 namespace tlb::solver {
 namespace {
