@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "apps/synthetic.hpp"
 #include "sched/registry.hpp"
@@ -39,7 +40,9 @@ double mean_of(const std::vector<double>& xs) {
 }  // namespace
 
 JobManager::JobManager(core::RuntimeConfig base)
-    : base_(std::move(base)), svc_(base_.svc), admission_(svc_.admission) {
+    : base_(std::move(base)),
+      svc_(std::exchange(base_.svc, {})),  // jobs never nest services
+      admission_(svc_.admission) {
   if (!svc_.enabled) {
     throw std::invalid_argument("JobManager: RuntimeConfig::svc is disabled");
   }
@@ -643,7 +646,6 @@ core::RuntimeConfig JobManager::job_config(const JobTemplate& tpl,
   cfg.degree = std::min(tpl.degree, tpl.nodes);
   cfg.seed = job_seed;
   cfg.record_traces = false;
-  cfg.svc = SvcConfig{};  // jobs are batch instances, never nested services
   cfg.elastic = elastic::ElasticConfig{};  // pool elasticity is ours alone
   return cfg;
 }

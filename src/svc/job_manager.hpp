@@ -209,7 +209,7 @@ class JobManager {
     return decided_ < records_.size();
   }
 
-  core::RuntimeConfig base_;
+  core::RuntimeConfig base_;  ///< per-job template; svc moved out to svc_
   SvcConfig svc_;
   sim::Engine engine_;
   AdmissionController admission_;
