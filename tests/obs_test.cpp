@@ -3,7 +3,8 @@
 // JSON, monotone timestamps, B/E pairing), POP efficiency agreement with
 // TALP, critical-path breakdown, typed trace marks / Paraver export, and
 // the determinism contract (span collection keeps schedules bit-identical
-// to the golden fingerprints).
+// to the golden fingerprints, and the serialized registry is pinned).
+#include <cstdio>
 #include <cstring>
 #include <map>
 #include <stdexcept>
@@ -218,6 +219,86 @@ TEST(ObsDeterminism, SpanCollectionKeepsNetScheduleBitIdentical) {
   apps::SyntheticWorkload wl(net_workload());
   core::ClusterRuntime rt(cfg);
   EXPECT_EQ(schedule_fingerprint(rt, rt.run(wl)), kGoldenNet);
+}
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : s) h = fp_mix(h, static_cast<unsigned char>(c));
+  return h;
+}
+
+// The serialized registry of three runs that together reach every metric
+// the runtime exports: plain with spans (obs.*), fat-tree fabric + hier
+// scheduler + stream sink (net.*, net.fct_s, hier.*, stream.*), and
+// heartbeat detection with a helper crash plus a node that joins and
+// retires (resil.*, fault.*, elastic.*). Names, kinds, order and values
+// are pinned byte for byte.
+TEST(ObsDeterminism, MetricsJsonIsPinned) {
+  {
+    core::RuntimeConfig cfg = plain_config();
+    cfg.obs.spans = true;
+    apps::SyntheticWorkload wl(plain_workload());
+    core::ClusterRuntime rt(cfg);
+    rt.run(wl);
+    const std::string j = rt.metrics().to_json();
+    EXPECT_NE(j.find("\"obs.rescues\""), std::string::npos) << j;
+    EXPECT_EQ(fnv1a(j), 0x6e092332ef04c58cull) << j;
+  }
+  {
+    const std::string path = "obs_test_metrics_pinned.stream";
+    core::RuntimeConfig cfg = net_config();
+    cfg.sched.policy = "hier";
+    cfg.obs.stream.enabled = true;
+    cfg.obs.stream.path = path;
+    apps::SyntheticWorkload wl(net_workload());
+    core::ClusterRuntime rt(cfg);
+    rt.run(wl);
+    const std::string j = rt.metrics().to_json();
+    for (const char* key : {"\"net.fct_s\"", "\"hier.masters\"",
+                            "\"stream.peak_open_spans\"", "\"obs.rescues\""}) {
+      EXPECT_NE(j.find(key), std::string::npos) << key << " in " << j;
+    }
+    EXPECT_EQ(fnv1a(j), 0xdf27531a661158d5ull) << j;
+    std::remove(path.c_str());
+  }
+  {
+    core::RuntimeConfig cfg = plain_config();
+    cfg.cluster = sim::ClusterSpec::homogeneous(3, 8);
+    cfg.appranks_per_node = 1;
+    cfg.degree = 2;
+    cfg.resil.detection = resil::DetectionMode::Heartbeat;
+    sim::Engine engine;
+    core::ClusterRuntime rt(cfg, &engine);
+    apps::SyntheticConfig scfg = plain_workload();
+    scfg.appranks = 3;
+    scfg.iterations = 6;
+    scfg.tasks_per_rank = 80;
+    apps::SyntheticWorkload wl(scfg);
+    bool done = false;
+    rt.start(wl, [&] { done = true; });
+    sim::NodeSpec spec;
+    spec.cores = 8;
+    int grown = -1;
+    engine.at(0.3, [&] {
+      if (!done) grown = rt.grow_node(spec);
+    });
+    engine.at(0.5, [&] {
+      if (!done) rt.crash_worker(rt.topology().workers_of_apprank(0)[1]);
+    });
+    engine.at(1.0, [&] {
+      if (!done && grown >= 0) rt.retire_node(grown);
+    });
+    engine.run();
+    const core::RunResult r = rt.finalize();
+    ASSERT_TRUE(done);
+    ASSERT_GE(grown, 0);
+    EXPECT_EQ(r.workers_crashed, 1u);
+    EXPECT_GT(r.heartbeat_messages, 0u);
+    const std::string j = rt.metrics().to_json();
+    EXPECT_NE(j.find("\"elastic.nodes_joined\": 1"), std::string::npos) << j;
+    EXPECT_NE(j.find("\"elastic.nodes_retired\": 1"), std::string::npos) << j;
+    EXPECT_EQ(fnv1a(j), 0xeffa36bbac2ea100ull) << j;
+  }
 }
 
 // --- span lifecycle ----------------------------------------------------------
