@@ -198,8 +198,9 @@ void scaling_arm(bench::JsonReport& report) {
               : 0.0;
       const double decisions_per_sec =
           wall > 0.0 ? static_cast<double>(r.sched.decisions) / wall : 0.0;
+      const obs::Registry metrics = rt.metrics();
       const obs::Counter* refresh_counter =
-          rt.metrics().find_counter("hier.summary_refreshes");
+          metrics.find_counter("hier.summary_refreshes");
       const double refreshes =
           refresh_counter != nullptr
               ? static_cast<double>(refresh_counter->value())

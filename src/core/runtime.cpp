@@ -135,7 +135,6 @@ ClusterRuntime::ClusterRuntime(RuntimeConfig config, sim::Engine* shared_engine)
   recorder_ = std::make_unique<trace::Recorder>(topology_->node_count(),
                                                 topology_->apprank_count(),
                                                 config_.record_traces);
-  register_metrics();
   if (config_.obs.stream.enabled) {
     // Streaming backend: finished spans spill to disk, only open spans
     // stay resident. Supersedes the in-memory collector when both are
@@ -263,31 +262,6 @@ void ClusterRuntime::subscribe_control_types() {
       });
 }
 
-void ClusterRuntime::register_metrics() {
-  m_.control_messages = &metrics_.counter("core.control_messages");
-  m_.transfer_bytes = &metrics_.counter("core.transfer_bytes");
-  m_.tasks_reexecuted = &metrics_.counter("fault.tasks_reexecuted");
-  m_.workers_crashed = &metrics_.counter("fault.workers_crashed");
-  m_.heartbeat_messages = &metrics_.counter("resil.heartbeat_messages");
-  m_.detections = &metrics_.counter("resil.detections");
-  m_.false_suspicions = &metrics_.counter("resil.false_suspicions");
-  m_.lease_retransmits = &metrics_.counter("resil.lease_retransmits");
-  m_.lease_expiries = &metrics_.counter("resil.lease_expiries");
-  m_.duplicates_suppressed = &metrics_.counter("resil.duplicates_suppressed");
-  m_.quarantine_ejections = &metrics_.counter("resil.quarantine_ejections");
-  m_.quarantine_readmissions =
-      &metrics_.counter("resil.quarantine_readmissions");
-  m_.policy_downshifts = &metrics_.counter("resil.policy_downshifts");
-  m_.rewired_edges = &metrics_.counter("resil.rewired_edges");
-  m_.nodes_joined = &metrics_.counter("elastic.nodes_joined");
-  m_.nodes_retired = &metrics_.counter("elastic.nodes_retired");
-  m_.detection_latency_sum = &metrics_.gauge("resil.detection_latency_sum_s");
-  m_.perfect_time = &metrics_.gauge("core.perfect_time_s");
-  m_.iteration_time = &metrics_.histogram(
-      "core.iteration_time_s",
-      {0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0});
-}
-
 obs::PopReport ClusterRuntime::pop() const {
   std::vector<int> worker_apprank;
   worker_apprank.reserve(static_cast<std::size_t>(topology_->worker_count()));
@@ -350,24 +324,8 @@ void ClusterRuntime::start(Workload& workload,
 
 RunResult ClusterRuntime::finalize() {
   PROF_SCOPE("core.finalize");
-  // Collect statistics. Runtime-event counters were incremented into the
-  // registry live; RunResult is the stable compatibility view over it.
-  result_.control_messages = m_.control_messages->value();
-  result_.transfer_bytes = m_.transfer_bytes->value();
-  result_.tasks_reexecuted = m_.tasks_reexecuted->value();
-  result_.workers_crashed = m_.workers_crashed->value();
-  result_.heartbeat_messages = m_.heartbeat_messages->value();
-  result_.detections = m_.detections->value();
-  result_.false_suspicions = m_.false_suspicions->value();
-  result_.detection_latency_sum = m_.detection_latency_sum->value();
-  result_.lease_retransmits = m_.lease_retransmits->value();
-  result_.lease_expiries = m_.lease_expiries->value();
-  result_.duplicates_suppressed = m_.duplicates_suppressed->value();
-  result_.quarantine_ejections = m_.quarantine_ejections->value();
-  result_.quarantine_readmissions = m_.quarantine_readmissions->value();
-  result_.policy_downshifts = m_.policy_downshifts->value();
-  result_.rewired_edges = m_.rewired_edges->value();
-  result_.perfect_time = m_.perfect_time->value();
+  // The run counted into result_ as it went; add the statistics the
+  // subsystems keep themselves.
   for (const auto& ns : nodes_) {
     result_.lewi_lends += ns->lewi.lends();
     result_.lewi_borrows += ns->lewi.borrows();
@@ -382,60 +340,111 @@ RunResult ClusterRuntime::finalize() {
   result_.sched = sched_retired_;  // policies retired by mid-run hot-swaps
   result_.sched.merge(scheduler_->stats());
   result_.events_fired = engine_.events_fired();
-
-  // Snapshot the remaining subsystem statistics into the registry so one
-  // serialization (Registry::to_json) covers the whole run.
-  metrics_.counter("core.tasks_total").inc(result_.tasks_total);
-  metrics_.counter("core.tasks_offloaded").inc(result_.tasks_offloaded);
-  metrics_.gauge("core.work_total").set(result_.work_total);
-  metrics_.gauge("core.work_offloaded").set(result_.work_offloaded);
-  metrics_.gauge("core.makespan_s").set(result_.makespan);
-  metrics_.counter("dlb.lewi_lends").inc(result_.lewi_lends);
-  metrics_.counter("dlb.lewi_borrows").inc(result_.lewi_borrows);
-  metrics_.counter("dlb.lewi_reclaims").inc(result_.lewi_reclaims);
-  metrics_.counter("dlb.drom_moves").inc(result_.drom_moves);
-  metrics_.counter("vmpi.messages_lost").inc(result_.messages_lost);
-  metrics_.counter("vmpi.retransmissions").inc(result_.retransmissions);
-  metrics_.counter("sched.decisions").inc(result_.sched.decisions);
-  metrics_.counter("sched.offloads_considered")
-      .inc(result_.sched.offloads_considered);
-  metrics_.counter("sched.offloads_steered")
-      .inc(result_.sched.offloads_steered);
-  metrics_.counter("sched.offloads_suppressed")
-      .inc(result_.sched.offloads_suppressed);
-  metrics_.counter("sched.switches").inc(result_.sched.switches);
-  metrics_.counter("sched.state_touched").inc(result_.sched.state_touched);
-  metrics_.counter("sched.policy_swaps").inc(sched_swaps_);
-  if (const auto* h =
-          dynamic_cast<const hier::HierScheduler*>(scheduler_.get())) {
-    metrics_.counter("hier.summary_refreshes").inc(h->summary_refreshes());
-    metrics_.gauge("hier.masters")
-        .set(static_cast<double>(h->balancer().master_count()));
+  if (auto* stream = dynamic_cast<stream::StreamSink*>(span_backend_.get())) {
+    stream->close();  // footer + trailer: the spill file is now complete
   }
-  metrics_.counter("sim.events_fired").inc(result_.events_fired);
+  return result_;
+}
+
+obs::Registry ClusterRuntime::metrics() const {
+  // Registry::to_json writes counters, gauges and histograms as three
+  // objects, each in registration order; the names below are registered
+  // in that export order.
+  const RunResult& r = result_;
+  obs::Registry reg;
+  const auto count = [&reg](const char* name, std::uint64_t v) {
+    reg.counter(name).inc(v);
+  };
+  const auto gauge = [&reg](const char* name, double v) {
+    reg.gauge(name).set(v);
+  };
+  const auto* hier = dynamic_cast<const hier::HierScheduler*>(scheduler_.get());
+  const stream::StreamSink* stream = stream_sink();
+
+  count("core.control_messages", r.control_messages);
+  count("core.transfer_bytes", r.transfer_bytes);
+  count("fault.tasks_reexecuted", r.tasks_reexecuted);
+  count("fault.workers_crashed", r.workers_crashed);
+  count("resil.heartbeat_messages", r.heartbeat_messages);
+  count("resil.detections", r.detections);
+  count("resil.false_suspicions", r.false_suspicions);
+  count("resil.lease_retransmits", r.lease_retransmits);
+  count("resil.lease_expiries", r.lease_expiries);
+  count("resil.duplicates_suppressed", r.duplicates_suppressed);
+  count("resil.quarantine_ejections", r.quarantine_ejections);
+  count("resil.quarantine_readmissions", r.quarantine_readmissions);
+  count("resil.policy_downshifts", r.policy_downshifts);
+  count("resil.rewired_edges", r.rewired_edges);
+  count("elastic.nodes_joined", grown_nodes_.size());
+  count("elastic.nodes_retired",
+        static_cast<std::uint64_t>(
+            std::count_if(nodes_.begin(), nodes_.end(),
+                          [](const auto& ns) { return ns->retired; })));
+  count("core.tasks_total", r.tasks_total);
+  count("core.tasks_offloaded", r.tasks_offloaded);
+  count("dlb.lewi_lends", r.lewi_lends);
+  count("dlb.lewi_borrows", r.lewi_borrows);
+  count("dlb.lewi_reclaims", r.lewi_reclaims);
+  count("dlb.drom_moves", r.drom_moves);
+  count("vmpi.messages_lost", r.messages_lost);
+  count("vmpi.retransmissions", r.retransmissions);
+  count("sched.decisions", r.sched.decisions);
+  count("sched.offloads_considered", r.sched.offloads_considered);
+  count("sched.offloads_steered", r.sched.offloads_steered);
+  count("sched.offloads_suppressed", r.sched.offloads_suppressed);
+  count("sched.switches", r.sched.switches);
+  count("sched.state_touched", r.sched.state_touched);
+  count("sched.policy_swaps", sched_swaps_);
+  if (hier != nullptr) count("hier.summary_refreshes", hier->summary_refreshes());
+  count("sim.events_fired", r.events_fired);
   if (fabric_ != nullptr) {
-    metrics_.counter("net.flows_started").inc(fabric_->flows_started());
-    metrics_.counter("net.flows_completed").inc(fabric_->flows_completed());
-    metrics_.counter("net.flows_cancelled").inc(fabric_->flows_cancelled());
-    metrics_.counter("net.bytes_delivered").inc(fabric_->bytes_delivered());
-    metrics_.counter("net.solver_runs").inc(fabric_->solver_runs());
-    metrics_.counter("net.solver_flows_touched")
-        .inc(fabric_->solver_flows_touched());
-    metrics_.counter("net.solver_links_touched")
-        .inc(fabric_->solver_links_touched());
-    obs::Histogram& fct = metrics_.histogram(
+    count("net.flows_started", fabric_->flows_started());
+    count("net.flows_completed", fabric_->flows_completed());
+    count("net.flows_cancelled", fabric_->flows_cancelled());
+    count("net.bytes_delivered", fabric_->bytes_delivered());
+    count("net.solver_runs", fabric_->solver_runs());
+    count("net.solver_flows_touched", fabric_->solver_flows_touched());
+    count("net.solver_links_touched", fabric_->solver_links_touched());
+  }
+  if (span_backend_ != nullptr) count("obs.rescues", span_backend_->rescues());
+  if (stream != nullptr) {
+    count("stream.spans_spilled", stream->spans_spilled());
+    count("stream.bytes_written", stream->bytes_written());
+  }
+
+  gauge("resil.detection_latency_sum_s", r.detection_latency_sum);
+  gauge("core.perfect_time_s", r.perfect_time);
+  gauge("core.work_total", r.work_total);
+  gauge("core.work_offloaded", r.work_offloaded);
+  gauge("core.makespan_s", r.makespan);
+  if (hier != nullptr) {
+    gauge("hier.masters", static_cast<double>(hier->balancer().master_count()));
+  }
+  const obs::PopReport pr = pop();
+  gauge("pop.parallel_efficiency", pr.parallel_efficiency);
+  gauge("pop.load_balance", pr.load_balance);
+  gauge("pop.communication_efficiency", pr.communication_efficiency);
+  gauge("pop.transfer_efficiency", pr.transfer_efficiency);
+  if (span_backend_ != nullptr) {
+    gauge("obs.transfer_wait_core_s",
+          span_backend_->transfer_wait_core_seconds());
+  }
+  if (stream != nullptr) {
+    gauge("stream.peak_open_spans",
+          static_cast<double>(stream->peak_open_spans()));
+  }
+
+  obs::Histogram& iteration = reg.histogram(
+      "core.iteration_time_s",
+      {0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0});
+  for (const double t : r.iteration_times) iteration.add(t);
+  if (fabric_ != nullptr) {
+    obs::Histogram& fct = reg.histogram(
         "net.fct_s",
         {1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1.0});
     for (const double f : fabric_->completion_times()) fct.add(f);
   }
-  const obs::PopReport pr = pop();
-  metrics_.gauge("pop.parallel_efficiency").set(pr.parallel_efficiency);
-  metrics_.gauge("pop.load_balance").set(pr.load_balance);
-  metrics_.gauge("pop.communication_efficiency")
-      .set(pr.communication_efficiency);
-  metrics_.gauge("pop.transfer_efficiency").set(pr.transfer_efficiency);
-  if (span_backend_ != nullptr) span_backend_->finish(metrics_);
-  return result_;
+  return reg;
 }
 
 // --- SPMD iteration orchestration -------------------------------------------
@@ -462,7 +471,7 @@ void ClusterRuntime::start_iteration_all() {
     }
     if (st.outstanding == 0) enter_barrier(a);
   }
-  m_.perfect_time->add(iteration_work / config_.cluster.total_capacity());
+  result_.perfect_time += iteration_work / config_.cluster.total_capacity();
   for (int n = 0; n < topology_->node_count(); ++n) kick_node(n);
 }
 
@@ -489,7 +498,7 @@ void ClusterRuntime::enter_barrier(int apprank) {
     const auto sources = st.locations->pull_by_source(regions, home);
     auto remaining = std::make_shared<int>(0);
     for (const auto& [src, bytes] : sources) {
-      m_.transfer_bytes->inc(bytes);
+      result_.transfer_bytes += bytes;
       *remaining += 1;
       fabric_->start_flow(src, home, bytes, [remaining, do_barrier] {
         if (--*remaining == 0) do_barrier();
@@ -502,7 +511,7 @@ void ClusterRuntime::enter_barrier(int apprank) {
   sim::SimTime delay = 0.0;
   if (bytes > 0) {
     delay = faulted_transfer_time(bytes);
-    m_.transfer_bytes->inc(bytes);
+    result_.transfer_bytes += bytes;
   }
   engine_.after(delay, do_barrier);
 }
@@ -510,7 +519,6 @@ void ClusterRuntime::enter_barrier(int apprank) {
 void ClusterRuntime::on_barrier_done() {
   const int iteration = appranks_.front().iteration;
   result_.iteration_times.push_back(engine_.now() - last_barrier_time_);
-  m_.iteration_time->add(engine_.now() - last_barrier_time_);
   last_barrier_time_ = engine_.now();
   if (config_.obs.pop_windows) capture_pop_window(iteration);
   if (auto* stream = dynamic_cast<stream::StreamSink*>(span_backend_.get())) {
@@ -654,7 +662,7 @@ void ClusterRuntime::assign_to_worker(nanos::TaskId id, WorkerId w) {
     finish_assignment(id, w);
     return;
   }
-  m_.control_messages->inc();
+  ++result_.control_messages;
   worker_state(w).pending += 1;
   if (resil_active()) {
     // Lease/ACK protocol (tlb::resil): the assignment is covered by an
@@ -718,7 +726,7 @@ void ClusterRuntime::finish_assignment(nanos::TaskId id, WorkerId w) {
   task.transfer_bytes = bytes;
   task.data_ready_at = engine_.now() + cost;
   if (bytes > 0) {
-    m_.transfer_bytes->inc(bytes);
+    result_.transfer_bytes += bytes;
     sink().transfer_begin(id, bytes, info.node, engine_.now());
     // The analytic model resolves the transfer window up front; record
     // both edges now (the end timestamp lies in the future, which the
@@ -945,7 +953,7 @@ void ClusterRuntime::on_task_finished(std::uint64_t exec_id) {
     }
     send_completion(run.task, w, run.epoch);
   } else if (node != home) {
-    m_.control_messages->inc();
+    ++result_.control_messages;
     send_ctrl(w, topology_->home_worker(apprank), kTagComplete,
               [this, id = run.task] { complete_task(id); });
   } else {
@@ -1117,7 +1125,7 @@ void ClusterRuntime::policy_tick() {
   }
   if (level != policy_level_) {
     if (level > policy_level_) {
-      m_.policy_downshifts->inc();
+      ++result_.policy_downshifts;
       mark_trace(level == 1 ? "policy downshift: global -> local"
                             : "policy downshift: -> static ownership");
     } else {
@@ -1215,7 +1223,7 @@ void ClusterRuntime::rescue_task(nanos::TaskId id, WorkerId from,
   task.scheduled_node = -1;
   task.data_ready_at = 0.0;
   task.reexecutions += 1;
-  m_.tasks_reexecuted->inc();
+  ++result_.tasks_reexecuted;
   sink().task_rescued(id, from, engine_.now());
   on_task_ready(id);
 }
@@ -1229,7 +1237,7 @@ void ClusterRuntime::crash_worker(WorkerId w) {
   if (!ws.alive || done_) return;
   ws.alive = false;
   ws.crashed_at = engine_.now();
-  m_.workers_crashed->inc();
+  ++result_.workers_crashed;
 
   const int node = info.node;
   dlb::NodeCores& nc = node_state(node).cores;
@@ -1337,7 +1345,7 @@ void ClusterRuntime::send_heartbeat(WorkerId w) {
   // Crashed workers fell silent; retired workers shut down cleanly (and
   // detector_sweep skips them, so the silence never reads as a failure).
   if (done_ || !worker_state(w).alive || worker_state(w).retired) return;
-  m_.heartbeat_messages->inc();
+  ++result_.heartbeat_messages;
   send_ctrl(w, topology_->home_worker(topology_->worker(w).apprank),
             kTagHeartbeat, [this, w] { on_heartbeat(w); });
   engine_.after(resil::kHeartbeatPeriod, [this, w] { send_heartbeat(w); });
@@ -1381,7 +1389,7 @@ void ClusterRuntime::send_offload(nanos::TaskId id, WorkerId w,
 
 void ClusterRuntime::send_completion(nanos::TaskId id, WorkerId w,
                                      std::uint64_t epoch) {
-  m_.control_messages->inc();
+  ++result_.control_messages;
   send_ctrl(w, topology_->home_worker(pool_.get(id).apprank), kTagComplete,
             [this, id, w, epoch] { on_completion(id, w, epoch); });
 }
@@ -1417,7 +1425,7 @@ void ClusterRuntime::on_offload_delivered(nanos::TaskId id, WorkerId w,
 
 void ClusterRuntime::send_ack(nanos::TaskId id, WorkerId w,
                               std::uint64_t epoch) {
-  m_.control_messages->inc();
+  ++result_.control_messages;
   send_ctrl(w, topology_->home_worker(pool_.get(id).apprank), kTagAck,
             [this, id, w, epoch] { on_ack(id, w, epoch); });
 }
@@ -1443,8 +1451,8 @@ void ClusterRuntime::on_lease_timeout(nanos::TaskId id) {
   const WorkerId w = lease->worker;
   if (lease->attempts < resil::kLeaseMaxAttempts) {
     lease->attempts += 1;
-    m_.lease_retransmits->inc();
-    m_.control_messages->inc();
+    ++result_.lease_retransmits;
+    ++result_.control_messages;
     send_offload(id, w, lease->epoch);
     lease->timer = engine_.after(
         resil::LeaseTable::backoff_delay(config_.resil, lease->attempts),
@@ -1453,7 +1461,7 @@ void ClusterRuntime::on_lease_timeout(nanos::TaskId id) {
   }
   // Attempts exhausted: the lease expires. The task moves elsewhere; the
   // worker moves towards quarantine.
-  m_.lease_expiries->inc();
+  ++result_.lease_expiries;
   lease->timer = sim::kInvalidEvent;
   if (quarantine_->record_expiry(w) && !worker_state(w).suspected) {
     suspect_worker(w);  // re-queues every lease on w, including this one
@@ -1472,7 +1480,7 @@ void ClusterRuntime::on_completion(nanos::TaskId id, WorkerId w,
     // was re-queued, possibly already completed elsewhere). Suppressing it
     // here is what makes completion accounting exactly-once at the home
     // runtime.
-    m_.duplicates_suppressed->inc();
+    ++result_.duplicates_suppressed;
     return;
   }
   engine_.cancel(lease->timer);
@@ -1530,15 +1538,15 @@ void ClusterRuntime::suspect_worker(WorkerId w) {
 
   // Detection verdict: real failure or false suspicion?
   if (!ws.alive) {
-    m_.detections->inc();
+    ++result_.detections;
     const double latency = engine_.now() - ws.crashed_at;
-    m_.detection_latency_sum->add(latency);
+    result_.detection_latency_sum += latency;
     if (recovery_series_ != nullptr) {
       recovery_series_->record_detection(engine_.now(), w, true, latency);
     }
     mark_trace("detected crash of worker " + std::to_string(w));
   } else {
-    m_.false_suspicions->inc();
+    ++result_.false_suspicions;
     if (recovery_series_ != nullptr) {
       recovery_series_->record_detection(engine_.now(), w, false, 0.0);
     }
@@ -1547,7 +1555,7 @@ void ClusterRuntime::suspect_worker(WorkerId w) {
 
   // Outlier ejection (Envoy-style): out of pick_worker candidacy until the
   // cooling period ends, then probed back in.
-  m_.quarantine_ejections->inc();
+  ++result_.quarantine_ejections;
   const sim::SimTime cooled = quarantine_->eject(w, engine_.now());
   engine_.at(cooled, [this, w] { probe_worker(w); });
 
@@ -1576,7 +1584,7 @@ void ClusterRuntime::probe_worker(WorkerId w) {
     // Forget pre-ejection inter-arrival history (it includes the silence
     // that caused the ejection and would poison the fresh estimate).
     detectors_[static_cast<std::size_t>(w)].reset();
-    m_.quarantine_readmissions->inc();
+    ++result_.quarantine_readmissions;
     mark_trace("readmitted worker " + std::to_string(w));
     resolve_policy_now();
     return;
@@ -1633,7 +1641,7 @@ void ClusterRuntime::maybe_rewire(int apprank) {
   }
 
   add_helper(apprank, node);
-  m_.rewired_edges->inc();
+  ++result_.rewired_edges;
   mark_trace("rewired apprank " + std::to_string(apprank) + " -> node " +
              std::to_string(node));
   // The new worker owns no cores yet; the policy re-solve that follows the
@@ -1689,7 +1697,6 @@ int ClusterRuntime::grow_node(const sim::NodeSpec& spec) {
   record_ownership();
   grown_nodes_.push_back(node);
 
-  m_.nodes_joined->inc();
   mark_trace("elastic: node " + std::to_string(node) + " joined with " +
              std::to_string(added.size()) + " helpers");
 
@@ -1744,7 +1751,6 @@ void ClusterRuntime::retire_node(int node) {
     }
   }
 
-  m_.nodes_retired->inc();
   mark_trace("elastic: node " + std::to_string(node) + " retired");
 
   // Re-solve over the reduced capacity, then let the survivors pick up the

@@ -109,9 +109,9 @@ class ClusterRuntime : private sched::RuntimeView {
   /// in shared mode — is responsible for driving events.
   void start(Workload& workload, std::function<void()> on_complete = {});
 
-  /// Collects the run statistics after completion (makespan, offloading /
-  /// DLB / resilience counters, metrics-registry snapshot). Call once,
-  /// after on_complete fired (shared mode) or the engine drained.
+  /// Completes the run statistics (the DLB, vmpi and scheduler totals the
+  /// subsystems keep) and closes the stream sink. Call once, after
+  /// on_complete fired (shared mode) or the engine drained.
   RunResult finalize();
 
   // Post-run inspection.
@@ -163,11 +163,10 @@ class ClusterRuntime : private sched::RuntimeView {
 
   // --- observability (tlb::obs) ---------------------------------------------
 
-  /// The run's metrics registry: every counter RunResult reports is
-  /// registry-backed (incremented live at the original call sites), and
-  /// run() snapshots the remaining subsystem statistics (LeWI/DROM, sched,
-  /// fabric FCTs, POP efficiencies) into it before returning.
-  [[nodiscard]] const obs::Registry& metrics() const { return metrics_; }
+  /// The run's statistics as a metrics registry, built on each call from
+  /// RunResult and the subsystems (fabric, hier scheduler, span backend,
+  /// POP report). Call after finalize().
+  [[nodiscard]] obs::Registry metrics() const;
 
   /// Per-task lifecycle spans, or nullptr unless RuntimeConfig::obs.spans
   /// was set. Feed to obs::chrome_trace_json / obs::critical_path.
@@ -519,7 +518,6 @@ class ClusterRuntime : private sched::RuntimeView {
   [[nodiscard]] obs::SpanSink& sink() {
     return span_backend_ != nullptr ? *span_backend_ : null_sink_;
   }
-  void register_metrics();
 
   // Elastic scaling loop (tlb::elastic; scheduled only when
   // config_.elastic.enabled — the disabled path reads nothing).
@@ -560,36 +558,12 @@ class ClusterRuntime : private sched::RuntimeView {
   std::vector<std::unique_ptr<NodeState>> nodes_;
   std::unique_ptr<dlb::TalpModule> talp_;
   std::unique_ptr<trace::Recorder> recorder_;
-  /// Unified metrics registry (always on) and the per-task span backend:
-  /// a stream::StreamSink when config_.obs.stream.enabled, else an
-  /// obs::SpanCollector when config_.obs.spans, else null. Declared
-  /// before fabric_, whose congestion observer emits into it.
-  obs::Registry metrics_;
+  /// The per-task span backend: a stream::StreamSink when
+  /// config_.obs.stream.enabled, else an obs::SpanCollector when
+  /// config_.obs.spans, else null. Declared before fabric_, whose
+  /// congestion observer emits into it.
   std::unique_ptr<obs::SpanLifecycle> span_backend_;
   obs::SpanSink null_sink_;
-  /// Cached registry handles for the hot counters incremented at the
-  /// original RunResult call sites (no name lookup per event).
-  struct MetricRefs {
-    obs::Counter* control_messages = nullptr;
-    obs::Counter* transfer_bytes = nullptr;
-    obs::Counter* tasks_reexecuted = nullptr;
-    obs::Counter* workers_crashed = nullptr;
-    obs::Counter* heartbeat_messages = nullptr;
-    obs::Counter* detections = nullptr;
-    obs::Counter* false_suspicions = nullptr;
-    obs::Counter* lease_retransmits = nullptr;
-    obs::Counter* lease_expiries = nullptr;
-    obs::Counter* duplicates_suppressed = nullptr;
-    obs::Counter* quarantine_ejections = nullptr;
-    obs::Counter* quarantine_readmissions = nullptr;
-    obs::Counter* policy_downshifts = nullptr;
-    obs::Counter* rewired_edges = nullptr;
-    obs::Counter* nodes_joined = nullptr;
-    obs::Counter* nodes_retired = nullptr;
-    obs::Gauge* detection_latency_sum = nullptr;
-    obs::Gauge* perfect_time = nullptr;
-    obs::Histogram* iteration_time = nullptr;
-  } m_;
   /// Non-null iff config_.net.enabled (declared after recorder_ and
   /// span_backend_: its congestion observer writes to both).
   std::unique_ptr<net::Fabric> fabric_;
@@ -611,6 +585,8 @@ class ClusterRuntime : private sched::RuntimeView {
   std::vector<ApprankState> appranks_;
   std::vector<WorkerState> workers_;
   Workload* workload_ = nullptr;
+  /// The one store of the run's statistics: counted into as events fire,
+  /// completed by finalize(), serialized by metrics().
   RunResult result_;
   int barrier_arrivals_ = 0;
   sim::SimTime last_barrier_time_ = 0.0;

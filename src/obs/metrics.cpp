@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -84,7 +83,8 @@ double Histogram::quantile(double q) const {
   return max_;
 }
 
-Registry::Entry& Registry::lookup(const std::string& name, Kind kind) {
+Registry::Entry& Registry::lookup(const std::string& name, Kind kind,
+                                  std::vector<double> bounds) {
   const auto it = by_name_.find(name);
   if (it != by_name_.end()) {
     Entry& e = entries_[it->second];
@@ -108,10 +108,7 @@ Registry::Entry& Registry::lookup(const std::string& name, Kind kind) {
       break;
     case Kind::Histogram:
       e.index = histograms_.size();
-      assert(!pending_bounds_.empty());
-      histograms_.push_back(
-          std::make_unique<Histogram>(std::move(pending_bounds_.back())));
-      pending_bounds_.pop_back();
+      histograms_.push_back(std::make_unique<Histogram>(std::move(bounds)));
       break;
   }
   by_name_.emplace(name, entries_.size());
@@ -129,8 +126,7 @@ Gauge& Registry::gauge(const std::string& name) {
 
 Histogram& Registry::histogram(const std::string& name,
                                std::vector<double> bounds) {
-  if (by_name_.count(name) == 0) pending_bounds_.push_back(std::move(bounds));
-  return *histograms_[lookup(name, Kind::Histogram).index];
+  return *histograms_[lookup(name, Kind::Histogram, std::move(bounds)).index];
 }
 
 const Counter* Registry::find_counter(const std::string& name) const {

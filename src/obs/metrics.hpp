@@ -1,18 +1,16 @@
 // Typed metrics registry (tlb::obs).
 //
-// One Registry per run holds every named metric the runtime, scheduler and
-// fabric produce: monotone Counters, last-value Gauges, and fixed-bucket
-// Histograms. It replaces the previous arrangement where each subsystem
-// grew its own ad-hoc counter fields (RunResult, sched::SchedStats, the
-// fabric's FCT vector) with no common naming or serialization: the runtime
-// now increments registry-backed counters at the original call sites and
-// RunResult is filled *from* the registry at the end of run() as a
-// stable compatibility view.
+// A Registry is the export form of a run's statistics: named monotone
+// Counters, last-value Gauges and fixed-bucket Histograms under one JSON
+// serialization. It is not where a run counts. core::RunResult and the
+// subsystems (fabric, scheduler, span backend) keep each statistic once
+// as the run goes; ClusterRuntime::metrics() builds a Registry from them
+// when asked, so nothing writes a Registry while a run is in progress.
 //
-// Determinism: metrics are pure bookkeeping — no simulator events, no RNG,
-// no clock reads — so recording them can never perturb a run. Iteration
-// order is insertion order (names are registered deterministically), so
-// serialized output is byte-stable across runs and platforms.
+// Determinism: building a registry reads finished statistics only — no
+// simulator events, no RNG, no clock reads. Iteration order is insertion
+// order (names are registered deterministically), so serialized output is
+// byte-stable across runs and platforms.
 #pragma once
 
 #include <cstdint>
@@ -85,7 +83,7 @@ class Histogram {
   double max_ = 0.0;
 };
 
-/// Name -> metric registry, one instance per run. Registering an existing
+/// Name -> metric registry. Registering an existing
 /// name returns the existing metric (so independent subsystems can share
 /// a series by name); registering it as a different kind throws.
 class Registry {
@@ -113,15 +111,18 @@ class Registry {
     Kind kind;
     std::size_t index;  ///< into the per-kind vector
   };
-  Entry& lookup(const std::string& name, Kind kind);
+  /// The entry of `name`, registered as `kind` on first use (`bounds`
+  /// builds a new histogram and is ignored otherwise).
+  Entry& lookup(const std::string& name, Kind kind,
+                std::vector<double> bounds = {});
 
   std::vector<Entry> entries_;               ///< registration order
   std::map<std::string, std::size_t> by_name_;
-  // Deques-by-unique_ptr so references stay stable across registration.
+  // Each metric sits behind a unique_ptr, so the references counter(),
+  // gauge() and histogram() return stay valid as later names register.
   std::vector<std::unique_ptr<Counter>> counters_;
   std::vector<std::unique_ptr<Gauge>> gauges_;
   std::vector<std::unique_ptr<Histogram>> histograms_;
-  std::vector<std::vector<double>> pending_bounds_;  ///< ctor staging
 };
 
 }  // namespace tlb::obs

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "obs/metrics.hpp"
 #include "prof/prof.hpp"
 
 namespace tlb::obs {
@@ -102,11 +101,6 @@ void SpanLifecycle::task_rescued(nanos::TaskId id, int worker,
 void SpanLifecycle::link_congestion(int /*link*/, const std::string& name,
                                     bool congested, sim::SimTime t) {
   instant(t, (congested ? "net congestion: " : "net cleared: ") + name, -1);
-}
-
-void SpanLifecycle::finish(Registry& metrics) {
-  metrics.counter("obs.rescues").inc(rescues_);
-  metrics.gauge("obs.transfer_wait_core_s").set(transfer_wait_);
 }
 
 // --- SpanCollector: dense in-memory storage -------------------------------------

@@ -63,8 +63,6 @@ class SpanSink {
                                bool /*congested*/, sim::SimTime /*t*/) {}
 };
 
-class Registry;
-
 /// The span lifecycle rules, written once for every backend: first
 /// readiness only, one attempt per task_scheduled, the transfer-wait
 /// integral folded in at exec_begin, and the rescue, scheduler-verdict and
@@ -129,9 +127,6 @@ class SpanLifecycle : public SpanSink {
 
   /// Spans held in memory right now (the prof open-spans gauge).
   [[nodiscard]] virtual std::size_t resident_spans() const = 0;
-  /// End of run: records the aggregates in `metrics` (obs.rescues,
-  /// obs.transfer_wait_core_s); backends with output to complete extend it.
-  virtual void finish(Registry& metrics);
 
  protected:
   /// The span of `id`, created empty on first use.

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "obs/metrics.hpp"
 #include "prof/prof.hpp"
 
 namespace tlb::stream {
@@ -184,17 +183,6 @@ void StreamSink::close() {
     std::fclose(file_);
     file_ = nullptr;
   }
-}
-
-void StreamSink::finish(obs::Registry& metrics) {
-  obs::SpanLifecycle::finish(metrics);
-  // Close before snapshotting so the spill file (footer + trailer) is
-  // complete and the byte count final when the bench reads it.
-  close();
-  metrics.counter("stream.spans_spilled").inc(spans_spilled_);
-  metrics.counter("stream.bytes_written").inc(bytes_written_);
-  metrics.gauge("stream.peak_open_spans")
-      .set(static_cast<double>(peak_open_));
 }
 
 }  // namespace tlb::stream

@@ -47,8 +47,6 @@ class StreamSink final : public obs::SpanLifecycle {
   /// trailer, flushes, and closes the file. Idempotent; called by the
   /// destructor if the runtime did not.
   void close();
-  /// Closes the file, then adds the stream.* counters to `metrics`.
-  void finish(obs::Registry& metrics) override;
 
   /// Finished spans written to the spill file so far.
   [[nodiscard]] std::uint64_t spans_spilled() const { return spans_spilled_; }

@@ -22,7 +22,8 @@
 // Measured per job: queue wait, service time, arrival-to-completion
 // latency, SLO verdict (latency <= the template's deadline). Aggregated:
 // p50/p99 latency, goodput (SLO-met jobs per second of horizon), shed
-// rate, node-seconds — all mirrored into an obs::Registry.
+// rate, node-seconds — all in SvcResult, the one store the run counts
+// into.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +35,6 @@
 #include "core/runtime.hpp"
 #include "elastic/controller.hpp"
 #include "elastic/xds.hpp"
-#include "obs/metrics.hpp"
 #include "svc/admission.hpp"
 #include "svc/arrivals.hpp"
 #include "svc/breaker.hpp"
@@ -151,7 +151,6 @@ class JobManager {
 
   // Post-run inspection.
   [[nodiscard]] const std::vector<JobRecord>& jobs() const { return records_; }
-  [[nodiscard]] const obs::Registry& metrics() const { return metrics_; }
   [[nodiscard]] const AdmissionController& admission() const {
     return admission_;
   }
@@ -213,7 +212,6 @@ class JobManager {
   SvcConfig svc_;
   sim::Engine engine_;
   AdmissionController admission_;
-  obs::Registry metrics_;
   elastic::ControlPlane control_;
 
   bool ran_ = false;             ///< run() is one-shot
@@ -237,25 +235,10 @@ class JobManager {
   int provisioning_ = 0;
   double node_seconds_ = 0.0;        ///< closed-out billing intervals
   int peak_powered_ = 0;
-  std::uint64_t scale_outs_ = 0;
-  std::uint64_t scale_ins_ = 0;
 
-  struct MetricRefs {
-    obs::Counter* arrived = nullptr;
-    obs::Counter* admitted = nullptr;
-    obs::Counter* completed = nullptr;
-    obs::Counter* shed = nullptr;
-    obs::Counter* shed_bucket = nullptr;
-    obs::Counter* shed_limit = nullptr;
-    obs::Counter* shed_breaker = nullptr;
-    obs::Counter* retries = nullptr;
-    obs::Counter* slo_met = nullptr;
-    obs::Counter* scale_out = nullptr;
-    obs::Counter* scale_in = nullptr;
-    obs::Histogram* latency = nullptr;
-    obs::Histogram* queue_wait = nullptr;
-    obs::Histogram* service = nullptr;
-  } m_;
+  /// Counted into as jobs arrive, shed, retry, complete and as the pool
+  /// scales; run() derives the rest and returns it.
+  SvcResult result_;
 };
 
 }  // namespace tlb::svc

@@ -405,11 +405,16 @@ TEST(JobManagerElastic, PoolBillsFewerNodeSecondsUnderLightLoad) {
   const int powered = elastic_mgr.powered_count();
   EXPECT_GE(powered, 2);
   EXPECT_LE(powered, 4);
-  // The registry mirrors the scaling counters.
-  EXPECT_EQ(elastic_mgr.metrics().find_counter("svc.scale_out")->value(),
-            re.scale_out_events);
-  EXPECT_EQ(elastic_mgr.metrics().find_counter("svc.scale_in")->value(),
-            re.scale_in_events);
+  // The counters the run kept agree with the records they count.
+  std::uint64_t retries = 0;
+  std::uint64_t shed_breaker = 0;
+  for (const auto& rec : elastic_mgr.jobs()) {
+    retries += static_cast<std::uint64_t>(rec.retries);
+    if (rec.outcome == svc::JobOutcome::ShedBreaker) ++shed_breaker;
+  }
+  EXPECT_EQ(re.retries, retries);
+  EXPECT_EQ(re.shed_breaker, shed_breaker);
+  EXPECT_EQ(re.admitted, re.completed);  // every admitted job ran
 }
 
 TEST(JobManagerElastic, PinnedBoundsMatchStaticScheduleBitwise) {

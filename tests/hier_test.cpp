@@ -322,8 +322,9 @@ TEST(HierScheduler, EnabledRunCompletesWithBoundedProbeCost) {
                            static_cast<double>(base.sched.decisions);
   EXPECT_LT(hier_cost, flat_cost);
 
+  const obs::Registry metrics = rt.metrics();
   const obs::Counter* refreshes =
-      rt.metrics().find_counter("hier.summary_refreshes");
+      metrics.find_counter("hier.summary_refreshes");
   ASSERT_NE(refreshes, nullptr);
   EXPECT_GT(refreshes->value(), 0u);
 }

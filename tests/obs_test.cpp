@@ -432,14 +432,14 @@ TEST(Pop, RegistryGaugesMirrorTheReport) {
   core::ClusterRuntime rt(cfg);
   const auto r = rt.run(wl);
   const obs::PopReport pop = rt.pop();
-  const obs::Gauge* pe = rt.metrics().find_gauge("pop.parallel_efficiency");
+  const obs::Registry metrics = rt.metrics();
+  const obs::Gauge* pe = metrics.find_gauge("pop.parallel_efficiency");
   ASSERT_NE(pe, nullptr);
   EXPECT_DOUBLE_EQ(pe->value(), pop.parallel_efficiency);
-  const obs::Counter* msgs =
-      rt.metrics().find_counter("core.control_messages");
+  const obs::Counter* msgs = metrics.find_counter("core.control_messages");
   ASSERT_NE(msgs, nullptr);
   EXPECT_EQ(msgs->value(), r.control_messages);
-  const obs::Counter* tasks = rt.metrics().find_counter("core.tasks_total");
+  const obs::Counter* tasks = metrics.find_counter("core.tasks_total");
   ASSERT_NE(tasks, nullptr);
   EXPECT_EQ(tasks->value(), r.tasks_total);
 }
