@@ -358,7 +358,7 @@ obs::Registry ClusterRuntime::metrics() const {
   const auto gauge = [&reg](const char* name, double v) {
     reg.gauge(name).set(v);
   };
-  const auto* hier = dynamic_cast<const hier::HierScheduler*>(scheduler_.get());
+  const auto* h = dynamic_cast<const hier::HierScheduler*>(scheduler_.get());
   const stream::StreamSink* stream = stream_sink();
 
   count("core.control_messages", r.control_messages);
@@ -395,7 +395,7 @@ obs::Registry ClusterRuntime::metrics() const {
   count("sched.switches", r.sched.switches);
   count("sched.state_touched", r.sched.state_touched);
   count("sched.policy_swaps", sched_swaps_);
-  if (hier != nullptr) count("hier.summary_refreshes", hier->summary_refreshes());
+  if (h != nullptr) count("hier.summary_refreshes", h->summary_refreshes());
   count("sim.events_fired", r.events_fired);
   if (fabric_ != nullptr) {
     count("net.flows_started", fabric_->flows_started());
@@ -417,8 +417,8 @@ obs::Registry ClusterRuntime::metrics() const {
   gauge("core.work_total", r.work_total);
   gauge("core.work_offloaded", r.work_offloaded);
   gauge("core.makespan_s", r.makespan);
-  if (hier != nullptr) {
-    gauge("hier.masters", static_cast<double>(hier->balancer().master_count()));
+  if (h != nullptr) {
+    gauge("hier.masters", static_cast<double>(h->balancer().master_count()));
   }
   const obs::PopReport pr = pop();
   gauge("pop.parallel_efficiency", pr.parallel_efficiency);

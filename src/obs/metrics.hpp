@@ -83,9 +83,9 @@ class Histogram {
   double max_ = 0.0;
 };
 
-/// Name -> metric registry. Registering an existing
-/// name returns the existing metric (so independent subsystems can share
-/// a series by name); registering it as a different kind throws.
+/// Name -> metric registry. Registering an existing name returns the
+/// existing metric (so independent subsystems can share a series by
+/// name); registering it as a different kind throws.
 class Registry {
  public:
   Counter& counter(const std::string& name);
